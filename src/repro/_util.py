@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,62 @@ def child_rng(rng: np.random.Generator, *labels: object) -> np.random.Generator:
     """
     seed = int(rng.integers(0, 2**32)) ^ stable_seed(*labels)
     return np.random.default_rng(seed)
+
+
+_UINT32_MAX = 0xFFFFFFFF
+
+
+def bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
+    """Exact, cheap replica of NumPy's bounded integer draw for ``rng``.
+
+    Returns ``draw(high)``: a uniform integer in ``[0, high]`` that
+    consumes ``rng``'s bit generator exactly as NumPy's
+    ``random_bounded_uint64`` does — no draw for ``high == 0``, else
+    the 32-bit Lemire rejection method over ``next_uint32``.  So
+    ``draw(k - 1)`` equals ``int(rng.integers(k))`` in value *and* in
+    the generator state it leaves behind, without the Python-level
+    ``Generator`` call overhead.  Ranges past 32 bits defer to
+    ``rng.integers`` itself.
+
+    The returned closure holds ctypes handles into the live bit
+    generator (NumPy declares their signatures; the closure keeps
+    ``rng`` alive): keep it local to one search, never pickle it.
+    """
+    iface = rng.bit_generator.ctypes
+    next_uint32, state = iface.next_uint32, iface.state
+
+    def draw(high: int) -> int:
+        if high == 0:
+            return 0
+        if high >= _UINT32_MAX:
+            return int(rng.integers(high + 1))
+        span = high + 1
+        product = next_uint32(state) * span
+        leftover = product & _UINT32_MAX
+        if leftover < span:
+            threshold = (_UINT32_MAX - high) % span
+            while leftover < threshold:
+                product = next_uint32(state) * span
+                leftover = product & _UINT32_MAX
+        return product >> 32
+
+    return draw
+
+
+def draw_pair(draw: Callable[[int], int], n: int) -> Tuple[int, int]:
+    """``rng.choice(n, size=2, replace=False)`` replayed over ``draw``.
+
+    NumPy samples two of ``n`` without replacement by Floyd's algorithm
+    (the second pick collides into ``n - 1``), then shuffles the pair
+    with one more draw.
+    """
+    first = draw(n - 2)
+    second = draw(n - 1)
+    if second == first:
+        second = n - 1
+    if draw(1) == 0:
+        return second, first
+    return first, second
 
 
 def stable_seed(*labels: object) -> int:

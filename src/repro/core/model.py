@@ -573,88 +573,6 @@ class InterferenceModel:
             dtype=float,
         )
 
-    def predict_corunners_batch(
-        self,
-        items: Sequence[Tuple[str, Sequence[int], Mapping[int, Sequence[str]]]],
-    ) -> np.ndarray:
-        """Vectorized :meth:`predict_under_corunners` over many items.
-
-        Each item is ``(workload, workload_nodes, co_runners_by_node)``.
-        """
-        _count_batch(len(items))
-        kernel = self.prediction_kernel()
-        workloads: List[str] = []
-        vectors: List[List[float]] = []
-        try:
-            for workload, nodes, co_runners in items:
-                workloads.append(workload)
-                vectors.append(kernel.pressure_vector(nodes, co_runners))
-        except ModelError:
-            # An unknown co-runner: replay scalar in item order so the
-            # error surfaces exactly where the scalar loop raises it.
-            return np.array(
-                [self.predict_under_corunners(w, n, c) for w, n, c in items],
-                dtype=float,
-            )
-        values = kernel.predict_vectors(workloads, vectors)
-        if values is None:
-            return np.array(
-                [self.predict_under_corunners(w, n, c) for w, n, c in items],
-                dtype=float,
-            )
-        if self.has_network:
-            values = self._apply_network_factors(
-                values,
-                [(w, n, c) for w, n, c in items],
-            )
-            if values is None:
-                return np.array(
-                    [
-                        self.predict_under_corunners(w, n, c)
-                        for w, n, c in items
-                    ],
-                    dtype=float,
-                )
-        return values
-
-    def _apply_network_factors(
-        self,
-        values: np.ndarray,
-        items: Sequence[Tuple[str, Sequence[int], Mapping[int, Sequence[str]]]],
-    ) -> Optional[np.ndarray]:
-        """Fold NETWORK-domain factors into compute predictions in place.
-
-        ``values[i]`` is multiplied by the network slowdown of
-        ``items[i]`` for every network-predictable target — one
-        multiplication per item, in item order, exactly as the scalar
-        combined path does it.  Returns ``None`` on a kernel anomaly so
-        callers replay the whole batch through the scalar path.
-        """
-        predictable = self._network_predictable()
-        net_kernel = self.network_kernel()
-        indices: List[int] = []
-        net_workloads: List[str] = []
-        net_vectors: List[List[float]] = []
-        try:
-            for i, (workload, nodes, co_runners) in enumerate(items):
-                if workload not in predictable:
-                    continue
-                indices.append(i)
-                net_workloads.append(workload)
-                net_vectors.append(
-                    net_kernel.pressure_vector(nodes, co_runners)
-                )
-        except ModelError:
-            return None
-        if not indices:
-            return values
-        factors = net_kernel.predict_vectors(net_workloads, net_vectors)
-        if factors is None:
-            return None
-        for i, factor in zip(indices, factors):
-            values[i] = values[i] * factor
-        return values
-
     def predict_placement_batch(
         self, placement: "Placement"  # noqa: F821
     ) -> Dict[str, float]:

@@ -23,7 +23,7 @@ unobserved workload predicts exactly like the static model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -198,14 +198,6 @@ class OnlineModel:
             for request in requests
         ]
         return self._apply_batch(workloads, values)
-
-    def predict_corunners_batch(
-        self,
-        items: Sequence[Tuple[str, Sequence[int], Mapping[int, Sequence[str]]]],
-    ) -> np.ndarray:
-        """Corrected :meth:`InterferenceModel.predict_corunners_batch`."""
-        values = self.base.predict_corunners_batch(items)
-        return self._apply_batch([workload for workload, _, _ in items], values)
 
     def predict_placement_batch(self, placement) -> Dict[str, float]:
         """Corrected :meth:`InterferenceModel.predict_placement_batch`."""

@@ -13,11 +13,15 @@ Two fast paths keep large searches cheap:
 
 * **Incremental energy** — when the energy implements the
   :class:`~repro.placement.objectives.IncrementalEnergy` protocol,
-  each proposed swap re-predicts only the instances with units on the
-  two touched nodes instead of the whole mix, carrying a per-instance
-  prediction table across moves.  Results are bit-identical to full
-  evaluation (the scalar energy is always re-aggregated from the full
-  table).
+  each proposed swap costs O(residents of the two touched nodes): the
+  state's node -> residents index names the instances to re-predict
+  and only its two touched entries are rebuilt, while the prediction
+  table carries forward and re-predictions hit a memo keyed by the
+  co-runner layout (no node ids).  Proposals draw from the search
+  stream through :func:`~repro._util.bounded_draws`, an exact replica
+  of the ``Generator.choice``/``Generator.integers`` calls they
+  replace.  Results are bit-identical to full evaluation (the scalar
+  energy is always re-aggregated from the full table).
 * **Parallel restarts** — each restart owns an independent random
   stream derived up front from the placer seed, so restarts can run
   in worker processes (``max_workers``) with results bit-identical to
@@ -28,9 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro._util import make_rng
+from repro._util import bounded_draws, draw_pair, make_rng
 from repro.errors import PlacementError
 from repro.obs import recorder as _obs
 from repro.parallel import fan_out
@@ -148,30 +152,39 @@ class SimulatedAnnealingPlacer:
 
     # ------------------------------------------------------------------
     def _propose_swap(
-        self, placement: Placement, rng
+        self,
+        placement: Placement,
+        keys: Sequence[str],
+        units: Sequence[int],
+        draw: Callable[[int], int],
     ) -> Optional[Tuple[Placement, Tuple[int, int]]]:
         """A random swap of two units of different instances.
+
+        ``keys`` and ``units`` are the instance keys and unit counts in
+        instance order; ``draw`` is :func:`~repro._util.bounded_draws`
+        over the search stream, consumed exactly as
+        ``rng.choice(len(keys), 2, replace=False)`` followed by one
+        ``rng.integers(num_units)`` per side would consume it.
 
         Returns the new placement plus the two nodes that traded
         residents (the delta-evaluation frontier), or ``None`` if no
         valid proposal was found.
         """
-        keys = [spec.instance_key for spec in placement.instances]
         if len(keys) < 2:
             return None
+        assignment = placement._assignment
         for _ in range(16):  # retry degenerate proposals
-            idx_a, idx_b = rng.choice(len(keys), size=2, replace=False)
-            key_a, key_b = keys[int(idx_a)], keys[int(idx_b)]
-            unit_a = int(rng.integers(placement.instance(key_a).num_units))
-            unit_b = int(rng.integers(placement.instance(key_b).num_units))
-            node_a = placement.nodes_of(key_a)[unit_a]
-            node_b = placement.nodes_of(key_b)[unit_b]
-            if node_a == node_b:
-                continue  # same node: a no-op swap
-            try:
-                swapped = placement.swap_units(key_a, unit_a, key_b, unit_b)
-            except PlacementError:
+            idx_a, idx_b = draw_pair(draw, len(keys))
+            unit_a = draw(units[idx_a] - 1)
+            unit_b = draw(units[idx_b] - 1)
+            key_a, key_b = keys[idx_a], keys[idx_b]
+            nodes_a, nodes_b = assignment[key_a], assignment[key_b]
+            node_a, node_b = nodes_a[unit_a], nodes_b[unit_b]
+            # Same node is a no-op swap; the other two cases are the
+            # distinct-nodes rule swap_units would reject.
+            if node_a == node_b or node_b in nodes_a or node_a in nodes_b:
                 continue
+            swapped = placement.swap_units(key_a, unit_a, key_b, unit_b)
             return swapped, (node_a, node_b)
         return None
 
@@ -201,11 +214,14 @@ class SimulatedAnnealingPlacer:
                 state = None
                 current_energy = self.energy(current)
             best, best_energy = current, current_energy
+            keys = [spec.instance_key for spec in initial.instances]
+            units = [spec.num_units for spec in initial.instances]
+            draw = bounded_draws(rng)
             evaluations = 1
             accepted = 0
             trajectory = [current_energy]
             for iteration in range(self.schedule.iterations):
-                proposal = self._propose_swap(current, rng)
+                proposal = self._propose_swap(current, keys, units, draw)
                 if proposal is None:
                     continue
                 candidate, touched_nodes = proposal

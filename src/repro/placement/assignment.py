@@ -194,8 +194,10 @@ class Placement:
 
     def nodes_of(self, key: str) -> Tuple[int, ...]:
         """Node of each unit of ``key`` (index = unit index)."""
-        self.instance(key)
-        return self._assignment[key]
+        try:
+            return self._assignment[key]
+        except KeyError:
+            raise PlacementError(f"unknown instance {key!r}") from None
 
     def units_to_nodes(self, key: str) -> Dict[int, int]:
         """Unit-to-node mapping suitable for deployment."""
@@ -203,7 +205,8 @@ class Placement:
 
     def spanned_nodes(self, key: str) -> List[int]:
         """Sorted distinct nodes ``key`` occupies."""
-        return sorted(set(self.nodes_of(key)))
+        # Units occupy distinct nodes (validated), so no set() needed.
+        return sorted(self.nodes_of(key))
 
     def co_runner_workloads(self, key: str) -> Dict[int, List[str]]:
         """Per-node workload names of other instances' resident units.

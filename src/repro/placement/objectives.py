@@ -13,9 +13,8 @@ time and aggregating.  Two aggregates appear in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.errors import PlacementError
 from repro.placement.assignment import Placement
@@ -156,6 +155,25 @@ def qos_status(
 # one.
 
 
+#: Per-node ``(instance_key, workload)`` of every resident unit, in
+#: assignment order — the shape of :meth:`Placement.node_residents`.
+ResidentIndex = Dict[int, List[Tuple[str, str]]]
+
+
+def co_runners_of(
+    residents: ResidentIndex, key: str, nodes: Iterable[int]
+) -> Dict[int, List[str]]:
+    """``Placement.co_runner_workloads(key)`` read off a resident index.
+
+    ``nodes`` are the nodes ``key`` spans; each list keeps assignment
+    order, so pressures combine in the same float summation order.
+    """
+    return {
+        node: [workload for other, workload in residents[node] if other != key]
+        for node in nodes
+    }
+
+
 @dataclass
 class EnergyState:
     """A placement with its per-instance prediction table and energy.
@@ -163,12 +181,17 @@ class EnergyState:
     ``predictions`` is the cached table delta evaluation carries
     forward; ``energy`` is always re-aggregated from the full table so
     incremental and full evaluation agree bit-for-bit (no running-sum
-    drift).
+    drift).  ``residents`` is the placement's resident index (equal to
+    ``placement.node_residents()``) and ``rank`` each instance key's
+    position in assignment order; :class:`PredictionEnergy` keeps both
+    current so a swap touches only the two nodes that changed.
     """
 
     placement: Placement
     predictions: Dict[str, float]
     energy: float
+    residents: ResidentIndex = field(default_factory=dict)
+    rank: Dict[str, int] = field(default_factory=dict)
 
 
 class IncrementalEnergy:
@@ -208,29 +231,22 @@ class PredictionEnergy(IncrementalEnergy):
 
     Subclasses implement :meth:`aggregate` (prediction table ->
     scalar energy); this class owns the expensive part — maintaining
-    the per-instance prediction table across swaps — plus a memo of
-    per-instance predictions keyed by the instance's *local
-    configuration* (its spanned nodes and the exact co-runner layout),
-    which annealing revisits constantly.
+    the per-instance prediction table and resident index across swaps
+    — plus a memo of per-instance predictions keyed by the instance's
+    *co-runner layout*: its workload and, per spanned node in sorted
+    node order, the co-runner workloads in assignment order.  Node ids
+    are not part of the key, so relabelled placements share entries,
+    and the memo is bounded by the number of distinct layouts.
+
+    The model must therefore predict from the layout alone, which
+    ``predict_under_corunners`` of every model here does: it walks the
+    nodes in order and reads only each node's co-runner list.
 
     Parameters
     ----------
     model:
         Prediction model exposing ``predict_under_corunners``.
     """
-
-    #: Memo entries kept before stale entries are evicted (a full
-    #: annealing search revisits far fewer distinct local
-    #: configurations).
-    MEMO_LIMIT = 200_000
-
-    #: Fewest memo misses routed through one vectorized
-    #: ``predict_corunners_batch`` call; below this the per-call array
-    #: setup outweighs the win and the scalar path (bit-identical
-    #: anyway) is faster.  Swap deltas re-predict a handful of
-    #: instances, so in practice only full-state evaluations of large
-    #: placements batch.
-    BATCH_MIN = 32
 
     def __init__(self, model) -> None:
         self.model = model
@@ -243,76 +259,62 @@ class PredictionEnergy(IncrementalEnergy):
         """Scalar energy of a full prediction table (cheap)."""
         raise NotImplementedError
 
+    def aggregate_indexed(
+        self,
+        predictions: Mapping[str, float],
+        placement: Placement,
+        residents: ResidentIndex,
+    ) -> float:
+        """:meth:`aggregate` with the state's resident index at hand.
+
+        Energies that read co-runners beyond the prediction table
+        override this instead of rebuilding the index per evaluation.
+        """
+        return self.aggregate(predictions, placement)
+
     # -- prediction table maintenance ---------------------------------
-    def _store(self, memo_key: Tuple, value: float) -> None:
-        if len(self._memo) >= self.MEMO_LIMIT:
-            # Evict only the oldest half (dict preserves insertion
-            # order) so a long search keeps its warm recent entries
-            # instead of losing the whole table at the limit.
-            for stale in list(islice(iter(self._memo), self.MEMO_LIMIT // 2)):
-                del self._memo[stale]
-        self._memo[memo_key] = value
-
-    def _predict_table(
-        self, placement: Placement, keys: Sequence[str]
-    ) -> Dict[str, float]:
-        """Memoized predictions for ``keys``, misses batched together."""
-        memo_keys: List[Tuple] = []
-        # Values are captured here as they are resolved (not re-read
-        # from the memo at the end): a huge table could trip eviction
-        # mid-call and drop entries this very call produced.
-        resolved: Dict[Tuple, float] = {}
-        missing: List[Tuple[Tuple, str, List[int], Dict[int, List[str]]]] = []
-        for key in keys:
-            spec = placement.instance(key)
-            nodes = placement.spanned_nodes(key)
-            co_runners = placement.co_runner_workloads(key)
-            # The co-runner lists keep placement iteration order (NOT
-            # sorted): combining pressures sums floats in list order,
-            # so a reordered key could replay a bit-different result.
-            memo_key = (
-                spec.workload,
-                tuple((node, tuple(co_runners[node])) for node in nodes),
+    def _predict(
+        self,
+        key: str,
+        workload: str,
+        nodes: Iterable[int],
+        residents: ResidentIndex,
+    ) -> float:
+        """Memoized prediction of one instance from the resident index."""
+        nodes = sorted(nodes)
+        # Co-runners keep assignment order, NOT sorted: pressures sum in
+        # list order, so a reordered key could replay different bits.
+        layout = tuple(
+            tuple([w for other, w in residents[node] if other != key])
+            for node in nodes
+        )
+        memo_key = (workload, layout)
+        value = self._memo.get(memo_key)
+        if value is None:
+            value = self.model.predict_under_corunners(
+                workload, nodes, co_runners_of(residents, key, nodes)
             )
-            memo_keys.append(memo_key)
-            cached = self._memo.get(memo_key)
-            if cached is None:
-                if memo_key not in resolved:
-                    missing.append((memo_key, spec.workload, nodes, co_runners))
-                    resolved[memo_key] = 0.0  # placeholder, filled below
-            else:
-                resolved[memo_key] = cached
-        if missing:
-            batch = getattr(self.model, "predict_corunners_batch", None)
-            if batch is not None and len(missing) >= self.BATCH_MIN:
-                values = batch(
-                    [(workload, nodes, co_runners)
-                     for _, workload, nodes, co_runners in missing]
-                )
-                for (memo_key, *_), value in zip(missing, values):
-                    self._store(memo_key, float(value))
-                    resolved[memo_key] = float(value)
-            else:
-                for memo_key, workload, nodes, co_runners in missing:
-                    value = self.model.predict_under_corunners(
-                        workload, nodes, co_runners
-                    )
-                    self._store(memo_key, value)
-                    resolved[memo_key] = value
-        return {
-            key: resolved[memo_key]
-            for key, memo_key in zip(keys, memo_keys)
-        }
-
-    def _predict(self, placement: Placement, key: str) -> float:
-        return self._predict_table(placement, [key])[key]
+            self._memo[memo_key] = value
+        return value
 
     def full_state(self, placement: Placement) -> EnergyState:
-        predictions = self._predict_table(
-            placement, [spec.instance_key for spec in placement.instances]
-        )
+        assignment = placement._assignment
+        residents = placement.node_residents()
+        predictions = {
+            spec.instance_key: self._predict(
+                spec.instance_key,
+                spec.workload,
+                assignment[spec.instance_key],
+                residents,
+            )
+            for spec in placement.instances
+        }
         return EnergyState(
-            placement, predictions, self.aggregate(predictions, placement)
+            placement,
+            predictions,
+            self.aggregate_indexed(predictions, placement, residents),
+            residents,
+            {key: position for position, key in enumerate(assignment)},
         )
 
     def swap_state(
@@ -321,16 +323,33 @@ class PredictionEnergy(IncrementalEnergy):
         new_placement: Placement,
         touched_nodes: Iterable[int],
     ) -> EnergyState:
-        touched = set(touched_nodes)
-        changed = [
-            spec.instance_key
-            for spec in new_placement.instances
-            if touched.intersection(new_placement.nodes_of(spec.instance_key))
-        ]
+        # Only instances resident on a touched node can change their
+        # co-runners, and a swap only moves them between touched nodes:
+        # those two index entries are rebuilt (in assignment order) and
+        # the rest of the index and prediction table carries forward.
+        touched = list(touched_nodes)
+        moved: Dict[str, str] = {}
+        for node in touched:
+            moved.update(state.residents[node])
+        rank = state.rank
+        changed = sorted(moved.items(), key=lambda item: rank[item[0]])
+        assignment = new_placement._assignment
+        residents = dict(state.residents)
+        for node in touched:
+            residents[node] = [
+                item for item in changed if node in assignment[item[0]]
+            ]
         predictions = dict(state.predictions)
-        predictions.update(self._predict_table(new_placement, changed))
+        for key, workload in changed:
+            predictions[key] = self._predict(
+                key, workload, assignment[key], residents
+            )
         return EnergyState(
-            new_placement, predictions, self.aggregate(predictions, new_placement)
+            new_placement,
+            predictions,
+            self.aggregate_indexed(predictions, new_placement, residents),
+            residents,
+            rank,
         )
 
     def __getstate__(self) -> dict:

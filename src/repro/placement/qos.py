@@ -43,6 +43,8 @@ from repro.placement.assignment import InstanceSpec, Placement
 from repro.placement.objectives import (
     PredictionEnergy,
     QoSConstraint,
+    ResidentIndex,
+    co_runners_of,
     predict_placement,
     weighted_total_time,
 )
@@ -75,7 +77,9 @@ class ConstrainedEnergy(PredictionEnergy):
         self.constraints = list(constraints)
         self.infeasible_base = infeasible_base
 
-    def _target_pressure(self, placement: Placement) -> float:
+    def _target_pressure(
+        self, placement: Placement, residents: ResidentIndex
+    ) -> float:
         """Mean predicted co-runner pressure on the constrained apps.
 
         When the model carries the NETWORK contention domain the mean
@@ -87,8 +91,9 @@ class ConstrainedEnergy(PredictionEnergy):
         pressures: List[float] = []
         network = getattr(self.model, "has_network", False)
         for constraint in self.constraints:
-            nodes = placement.spanned_nodes(constraint.instance_key)
-            coworkers = placement.co_runner_workloads(constraint.instance_key)
+            key = constraint.instance_key
+            nodes = placement.spanned_nodes(key)
+            coworkers = co_runners_of(residents, key, nodes)
             vector = self.model.pressure_vector(nodes, coworkers)
             pressures.extend(vector)
             if network:
@@ -100,12 +105,22 @@ class ConstrainedEnergy(PredictionEnergy):
     def aggregate(
         self, predictions: Mapping[str, float], placement: Placement
     ) -> float:
+        return self.aggregate_indexed(
+            predictions, placement, placement.node_residents()
+        )
+
+    def aggregate_indexed(
+        self,
+        predictions: Mapping[str, float],
+        placement: Placement,
+        residents: ResidentIndex,
+    ) -> float:
         violation = sum(c.violation(predictions) for c in self.constraints)
         if violation > 0:
             return (
                 self.infeasible_base
                 + violation
-                + PRESSURE_TIEBREAK * self._target_pressure(placement)
+                + PRESSURE_TIEBREAK * self._target_pressure(placement, residents)
             )
         return weighted_total_time(predictions, placement)
 

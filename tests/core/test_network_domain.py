@@ -187,18 +187,6 @@ class TestBatchScalarIdentity:
                 domain=ContentionDomain.NETWORK,
             )
 
-    def test_corunners_batch_matches_combined_scalar(self):
-        model = self.make_model()
-        items = [
-            ("app", [0, 1], {0: ["src"], 1: ["plain"]}),
-            ("plain", [0, 1], {0: ["src"], 1: []}),
-            ("src", [2, 3], {2: ["app", "app"], 3: ["plain"]}),
-            ("app", [0, 1, 2, 3], {}),
-        ]
-        batch = model.predict_corunners_batch(items)
-        for value, (w, n, c) in zip(batch, items):
-            assert value == model.predict_under_corunners(w, n, c)
-
     def test_placement_batches_match_combined_scalar(self):
         model = self.make_model()
         spec = ClusterSpec(num_nodes=8)

@@ -37,7 +37,6 @@ class ScalarOnly:
     _HIDDEN = frozenset(
         {
             "predict_batch",
-            "predict_corunners_batch",
             "predict_placement_batch",
             "predict_placements_batch",
             "prediction_kernel",
@@ -163,26 +162,44 @@ class TestAnnealingIdentity:
         }
 
 
-class TestMemoEviction:
-    def test_eviction_drops_oldest_half_only(self):
+def relabelled(placement, mapping, num_nodes):
+    """``placement`` moved onto ``num_nodes`` nodes through ``mapping``."""
+    return Placement(
+        ClusterSpec(num_nodes=num_nodes),
+        placement.instances,
+        {
+            spec.instance_key: tuple(
+                mapping[node] for node in placement.nodes_of(spec.instance_key)
+            )
+            for spec in placement.instances
+        },
+        unit_slots_per_node=placement.unit_slots_per_node,
+    )
+
+
+class TestLayoutMemo:
+    def test_relabelled_placements_share_memo_entries(self):
         rng = random.Random(55)
         model = random_model(rng)
         energy = WeightedTimeEnergy(model)
-        energy.MEMO_LIMIT = 8
-        for i in range(8):
-            energy._store(("key", i), float(i))
-        assert len(energy._memo) == 8
-        # The next store evicts the oldest half, keeps the newest.
-        energy._store(("key", 8), 8.0)
-        assert len(energy._memo) == 5
-        assert set(energy._memo) == {("key", i) for i in range(4, 9)}
+        placement = random_placement(rng, model, 8, 20)
+        first = energy.full_state(placement)
+        entries = dict(energy._memo)
+        # An order-preserving relabelling (shift and stretch) keeps every
+        # instance's sorted-node sequence, hence every co-runner layout.
+        moved = relabelled(
+            placement, {node: 2 * node + 3 for node in range(20)}, 43
+        )
+        second = energy.full_state(moved)
+        assert energy._memo == entries
+        assert second.predictions == first.predictions
+        assert second.predictions == predict_placement_scalar(model, moved)
 
-    def test_eviction_keeps_results_correct(self):
+    def test_memo_keeps_results_correct(self):
         rng = random.Random(56)
         model = random_model(rng)
         energy = WeightedTimeEnergy(model)
-        energy.MEMO_LIMIT = 4  # force constant eviction
-        placement = random_placement(rng, model, 6, 16)
-        reference = predict_placement_scalar(model, placement)
-        table = energy.full_state(placement).predictions
-        assert table == reference
+        for _ in range(3):
+            placement = random_placement(rng, model, 6, 16)
+            reference = predict_placement_scalar(model, placement)
+            assert energy.full_state(placement).predictions == reference
