@@ -29,8 +29,8 @@ def run_stream(context):
             for co_runner in CO_RUNNERS:
                 score = model.profile(co_runner).bubble_score
                 vector = [score] * span
-                static_prediction = model.predict_heterogeneous(target, vector)
-                online_prediction = online.predict_heterogeneous(target, vector)
+                static_prediction = model.predict(target, vector)
+                online_prediction = online.predict(target, vector)
                 measured = context.runner.corun_pair(
                     target, co_runner, rep=round_index
                 )[f"{target}#0"]

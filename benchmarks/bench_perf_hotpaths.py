@@ -173,7 +173,6 @@ class _ScalarOnly:
     _HIDDEN = frozenset(
         {
             "predict_batch",
-            "predict_placement_batch",
             "predict_placements_batch",
             "prediction_kernel",
         }
@@ -255,7 +254,7 @@ def test_incremental_vs_full_search(record_artifact, artifact_dir):
     )
     _record_json(artifact_dir)
     # The full-evaluation denominator rides the batch kernel too
-    # (predict_placement dispatches to predict_placement_batch), so the
+    # (predict_placement dispatches to predict_placements_batch), so the
     # incremental win over it is narrower than against the historical
     # scalar full path (~2.1-2.9x measured); the incremental path's
     # absolute time is separately guarded by the perf_smoke baseline.

@@ -38,9 +38,7 @@ def main() -> None:
     for candidate in BATCH_WORKLOADS:
         score = model.profile(candidate).bubble_score
         # Full co-location: the candidate shares every node.
-        predicted = model.predict_heterogeneous(
-            target, [score] * runner.num_nodes
-        )
+        predicted = model.predict(target, [score] * runner.num_nodes)
         verdict = "OK" if predicted <= limit else "over budget"
         rows.append((candidate, score, predicted, verdict))
     rows.sort(key=lambda row: row[2])

@@ -35,8 +35,8 @@ def main() -> None:
     for index, co_runner in enumerate(STREAM, start=1):
         score = model.profile(co_runner).bubble_score
         vector = [score] * runner.num_nodes
-        static_prediction = model.predict_heterogeneous(TARGET, vector)
-        online_prediction = online.predict_heterogeneous(TARGET, vector)
+        static_prediction = model.predict(TARGET, vector)
+        online_prediction = online.predict(TARGET, vector)
         measured = runner.corun_pair(TARGET, co_runner, rep=index)[f"{TARGET}#0"]
         static_error = absolute_percent_error(static_prediction, measured)
         online_error = absolute_percent_error(online_prediction, measured)

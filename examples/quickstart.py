@@ -34,18 +34,18 @@ def main() -> None:
 
     print("\nPredicted slowdown of M.lmps under homogeneous interference:")
     for count in (1, 4, 8):
-        predicted = model.predict_homogeneous("M.lmps", pressure=6.0, count=count)
+        predicted = model.predict("M.lmps", (6.0, count))
         print(f"  {count} node(s) at bubble pressure 6: {predicted:.2f}x")
 
     print("\nPredicted slowdown under a heterogeneous pressure vector:")
     vector = [6.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    predicted = model.predict_heterogeneous("M.lmps", vector)
+    predicted = model.predict("M.lmps", vector)
     print(f"  pressures {vector} -> {predicted:.2f}x")
 
     print("\nCo-locating the two applications on every node:")
     for target, co_runner in (("M.lmps", "M.Gems"), ("M.Gems", "M.lmps")):
         score = model.profile(co_runner).bubble_score
-        predicted = model.predict_heterogeneous(target, [score] * runner.num_nodes)
+        predicted = model.predict(target, [score] * runner.num_nodes)
         actual = runner.corun_pair(target, co_runner)[f"{target}#0"]
         print(
             f"  {target} next to {co_runner}: predicted {predicted:.2f}x, "

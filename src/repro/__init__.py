@@ -20,7 +20,9 @@ The package layers:
   placement case studies.
 * :mod:`repro.service` — the online consolidation service.
 * :mod:`repro.obs` — structured tracing and metrics.
-* :mod:`repro.ec2` — the 32-VM scale-out validation environment.
+* :mod:`repro.providers` — capacity providers, including
+  :mod:`repro.providers.ec2`, the 32-VM scale-out validation
+  environment.
 * :mod:`repro.experiments` — one module per paper table/figure.
 
 The supported import surface is :mod:`repro.api`, re-exported here
@@ -34,16 +36,11 @@ one-to-one.  Quick start::
     # predicted slowdown of lammps with 3 nodes at bubble pressure 5:
     model.predict("M.lmps", (5.0, 3))
 
-A handful of symbols that used to live at the top level but are not
-part of the curated surface (``Cluster``, ``make_bubble``,
-``MAX_PRESSURE``, ``NUM_PRESSURE_LEVELS``) remain importable through
-deprecation shims that warn once per symbol; import them from their
-defining module instead.
+Symbols outside the curated surface (``Cluster``, ``make_bubble``,
+``MAX_PRESSURE``, ...) are imported from their defining module.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.api import *  # noqa: F401,F403 — the curated surface, one-to-one
 from repro.api import __all__ as _API_ALL
@@ -51,43 +48,3 @@ from repro.api import __all__ as _API_ALL
 __version__ = "1.1.0"
 
 __all__ = list(_API_ALL) + ["__version__"]
-
-#: Legacy top-level names -> (module, attribute) they now live at.
-_LEGACY_ALIASES = {
-    "Cluster": ("repro.cluster", "Cluster"),
-    "make_bubble": ("repro.apps", "make_bubble"),
-    "MAX_PRESSURE": ("repro.units", "MAX_PRESSURE"),
-    "NUM_PRESSURE_LEVELS": ("repro.units", "NUM_PRESSURE_LEVELS"),
-}
-
-#: Symbols whose deprecation warning has already fired (one per symbol).
-_LEGACY_WARNED: set = set()
-
-
-def __getattr__(name: str):
-    """Deprecation shims for pre-1.1 top-level symbols.
-
-    Each legacy name resolves to the same object as its new home
-    (identity-preserving: the resolved object is cached in module
-    globals, so repeated imports return the same thing without
-    re-warning).
-    """
-    try:
-        module_name, attr = _LEGACY_ALIASES[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    if name not in _LEGACY_WARNED:
-        _LEGACY_WARNED.add(name)
-        warnings.warn(
-            f"importing {name!r} from 'repro' is deprecated; "
-            f"use 'from {module_name} import {attr}' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value  # cache: later lookups skip __getattr__
-    return value

@@ -9,17 +9,18 @@ stable across releases:
   :class:`MeasurementCache`.
 * **Model building & prediction** — :func:`build_model` /
   :func:`build_batch_profiles` / :func:`build_network_profiles`, the
-  :class:`InterferenceModel` (whose
-  :meth:`~repro.core.model.InterferenceModel.predict` is the single
-  scalar prediction entry point and whose
-  :meth:`~repro.core.model.InterferenceModel.predict_batch` scores
-  many requests through the vectorized, bit-identical
-  :class:`PredictionRequest` / kernel-snapshot path — see the "Batch
+  :class:`InterferenceModel` (one method per request shape:
+  :meth:`~repro.core.model.InterferenceModel.predict` for one
+  request, ``predict_under_corunners`` for one instance among its
+  co-runners, :meth:`~repro.core.model.InterferenceModel.predict_batch`
+  for many requests and ``predict_placements_batch`` for a wave of
+  placements — the last two through the vectorized, bit-identical
+  :class:`PredictionRequest` / kernel-snapshot path, see the "Batch
   prediction" section of ``docs/performance.md``), persistence via
   :func:`load_model` / :func:`save_model`, the
   :class:`NaiveProportionalModel` baseline, and the
-  :class:`OnlineModel` refinement wrapper.  Both prediction entry
-  points take a ``domain`` keyword selecting the contention resource
+  :class:`OnlineModel` refinement wrapper.  ``predict``,
+  ``predict_batch`` and ``pressure_vector`` take a ``domain`` keyword selecting the contention resource
   (:class:`ContentionDomain`); omitting it is the scalar-era
   compute-only call and stays bit-identical.
 * **Placement** — :class:`Placement` / :class:`InstanceSpec`, the
@@ -58,10 +59,8 @@ stable across releases:
 
 ``repro/__init__.py`` re-exports this module one-to-one, so
 ``from repro import build_model`` and ``from repro.api import
-build_model`` name the same objects.  Symbols that used to live at the
-top level but are *not* part of this surface remain importable from
-``repro`` through deprecation shims (warning once per symbol) or
-directly from their defining submodule.
+build_model`` name the same objects.  Symbols that are *not* part of
+this surface are imported from their defining submodule.
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
 """Frozen batch-prediction kernel for the placement/admission hot loop.
 
-Every annealing swap, admission check, and epoch reschedule funnels
-through :meth:`~repro.core.model.InterferenceModel.predict` one
-instance at a time.  The scalar path is the reference the paper's
-Figure-5 procedure is tested against, but it pays Python dispatch,
-profile lookups, and policy instantiation per call.  This module
-flattens a model into a :class:`PredictionKernel` — a frozen snapshot
-holding each profile's propagation matrix, heterogeneity policy, and
-bubble score behind contiguous NumPy arrays — so a whole placement (or
-a whole admission wave of candidate placements) is scored in a handful
-of array operations.
+The scalar :meth:`~repro.core.model.InterferenceModel.predict` path is
+the reference the paper's Figure-5 procedure is tested against, but it
+pays Python dispatch, profile lookups, and policy instantiation per
+call.  This module flattens a model into a :class:`PredictionKernel` —
+a frozen snapshot holding each profile's propagation matrix,
+heterogeneity policy, and bubble score behind contiguous NumPy arrays.
+The model's two batch entry points run on it:
+:meth:`~repro.core.model.InterferenceModel.predict_batch` scores a list
+of requests, and
+:meth:`~repro.core.model.InterferenceModel.predict_placements_batch`
+scores a wave of candidate placements (a single placement is a wave of
+one) in a handful of array operations.
 
 **Bit-identity contract.**  The batch path must be a pure accelerator:
 every float it produces is bit-identical to the scalar path's.  Three

@@ -17,6 +17,7 @@ scores of whatever shares its nodes (Figure 5's procedure).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -73,10 +74,14 @@ class InterferenceProfile:
     network_score: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bubble_score < 0:
-            raise ModelError("bubble_score must be non-negative")
-        if self.network_score < 0:
-            raise ModelError("network_score must be non-negative")
+        # ``json`` parses NaN/Infinity, so a model file can smuggle in
+        # scores that would otherwise fail only at the first prediction.
+        for name in ("bubble_score", "network_score"):
+            score = getattr(self, name)
+            if not math.isfinite(score) or score < 0:
+                raise ModelError(
+                    f"{name} must be finite and non-negative; got {score!r}"
+                )
         get_policy(self.policy_name)  # validates the name
 
     @property
@@ -335,6 +340,19 @@ class InterferenceModel:
         self, workload: str, pressures: Sequence[float],
         *, domain: ContentionDomain = ContentionDomain.COMPUTE,
     ) -> float:
+        """Normalized time under a per-node pressure vector.
+
+        Applies the workload's heterogeneity policy (ALL max in the
+        NETWORK domain) and then looks up the propagation matrix —
+        exactly Figure 5's procedure.
+
+        The pressure vector has one entry per node the *deployment*
+        spans.  The matrix was profiled on a fixed span (all 8 hosts in
+        Section 3.1), so when the deployment spans fewer nodes —
+        Section 5 runs each application on 4 hosts — the converted
+        node count is rescaled to the profiled span: ``k`` interfering
+        nodes out of 4 correspond to ``2k`` out of the profiled 8.
+        """
         profile = self.profile(workload)
         matrix = self._domain_matrix(profile, domain)
         if domain is ContentionDomain.COMPUTE:
@@ -346,38 +364,12 @@ class InterferenceModel:
         scaled = HomogeneousSetting(setting.pressure, setting.count * scale)
         return matrix.lookup(scaled)
 
-    def predict_homogeneous(
-        self, workload: str, pressure: float, count: float
-    ) -> float:
-        """Normalized time with ``count`` nodes interfering at ``pressure``.
-
-        Delegates to :meth:`predict` with a homogeneous setting.
-        """
-        return self.predict(workload, HomogeneousSetting(pressure, count))
-
-    def predict_heterogeneous(
-        self, workload: str, pressures: Sequence[float]
-    ) -> float:
-        """Normalized time under a per-node pressure vector.
-
-        Applies the workload's heterogeneity policy and then looks up
-        the propagation matrix — exactly Figure 5's procedure.
-
-        The pressure vector has one entry per node the *deployment*
-        spans.  The matrix was profiled on a fixed span (all 8 hosts in
-        Section 3.1), so when the deployment spans fewer nodes —
-        Section 5 runs each application on 4 hosts — the converted
-        node count is rescaled to the profiled span: ``k`` interfering
-        nodes out of 4 correspond to ``2k`` out of the profiled 8.
-
-        Delegates to :meth:`predict` with the vector form.
-        """
-        return self.predict(workload, list(pressures))
-
     def pressure_vector(
         self,
         workload_nodes: Sequence[int],
         co_runners_by_node: Mapping[int, Sequence[str]],
+        *,
+        domain: ContentionDomain = ContentionDomain.COMPUTE,
     ) -> List[float]:
         """Per-node pressures an application sees from its co-runners.
 
@@ -389,6 +381,10 @@ class InterferenceModel:
             For each node, the workload names of *other* applications
             resident there (one name per resident VM unit; the same
             name may repeat if two units share the node).
+        domain:
+            COMPUTE (the default) combines the co-runners' bubble
+            scores; NETWORK combines their network scores into per-node
+            *link* pressures.
 
         Notes
         -----
@@ -397,30 +393,15 @@ class InterferenceModel:
         cannot observe the surcharge, which is one of its honest error
         sources.
         """
-        vector: List[float] = []
-        for node in workload_nodes:
-            scores = [
-                self.profile(name).bubble_score
-                for name in co_runners_by_node.get(node, ())
-            ]
-            vector.append(combine_pressures(scores, collision_surcharge=0.0))
-        return vector
-
-    def network_pressure_vector(
-        self,
-        workload_nodes: Sequence[int],
-        co_runners_by_node: Mapping[int, Sequence[str]],
-    ) -> List[float]:
-        """Per-node *link* pressures seen from co-runners' network scores.
-
-        The NETWORK-domain analogue of :meth:`pressure_vector`,
-        combining the co-runners' network bubble scores per node with
-        the same surcharge-free public rule.
-        """
+        if domain is not ContentionDomain.COMPUTE:
+            domain = ContentionDomain.parse(domain)
+        network = domain is ContentionDomain.NETWORK
         vector: List[float] = []
         for node in workload_nodes:
             scores = [
                 self.profile(name).network_score
+                if network
+                else self.profile(name).bubble_score
                 for name in co_runners_by_node.get(node, ())
             ]
             vector.append(combine_pressures(scores, collision_surcharge=0.0))
@@ -441,8 +422,9 @@ class InterferenceModel:
         profile = self.profile(workload)
         if profile.network_matrix is None:
             return None
-        vector = self.network_pressure_vector(
-            workload_nodes, co_runners_by_node
+        vector = self.pressure_vector(
+            workload_nodes, co_runners_by_node,
+            domain=ContentionDomain.NETWORK,
         )
         return self._predict_heterogeneous(
             workload, vector, domain=ContentionDomain.NETWORK
@@ -464,7 +446,7 @@ class InterferenceModel:
         exactly the scalar-era code path.
         """
         vector = self.pressure_vector(workload_nodes, co_runners_by_node)
-        value = self.predict_heterogeneous(workload, vector)
+        value = self._predict_heterogeneous(workload, vector)
         if self.has_network:
             factor = self._network_factor(
                 workload, workload_nodes, co_runners_by_node
@@ -495,7 +477,6 @@ class InterferenceModel:
         """
         if domain is not ContentionDomain.COMPUTE:
             domain = ContentionDomain.parse(domain)
-        network = domain is ContentionDomain.NETWORK
         unpacked: List[Tuple[str, object]] = []
         for request in requests:
             if isinstance(request, PredictionRequest):
@@ -504,13 +485,14 @@ class InterferenceModel:
                 workload, interference = request
                 unpacked.append((workload, interference))
         _count_batch(len(unpacked))
-        if network:
+        if domain is ContentionDomain.NETWORK:
             kernel = self.network_kernel()
+            # The network view knows every workload as a pressure
+            # source, but only these carry a network matrix.
             predictable = self._network_predictable()
         else:
             kernel = self.prediction_kernel()
             predictable = None
-        out = np.empty(len(unpacked), dtype=float)
         het_indices: List[int] = []
         het_workloads: List[str] = []
         het_vectors: List[Sequence[float]] = []
@@ -518,23 +500,20 @@ class InterferenceModel:
         # counts.
         hom: Dict[str, Tuple[List[int], List[float], List[float]]] = {}
         for i, (workload, interference) in enumerate(unpacked):
-            if not kernel.knows(workload):
-                return self._predict_batch_scalar(unpacked, domain=domain)
-            if predictable is not None and workload not in predictable:
-                # The network view knows the workload only as a pressure
-                # source; scalar replay raises the proper ModelError.
-                return self._predict_batch_scalar(unpacked, domain=domain)
+            if not kernel.knows(workload) or (
+                predictable is not None and workload not in predictable
+            ):
+                break
             if isinstance(interference, tuple) and not isinstance(
                 interference, HomogeneousSetting
             ):
-                if len(interference) != 2:
-                    return self._predict_batch_scalar(unpacked, domain=domain)
                 try:
+                    pressure, count = interference
                     interference = HomogeneousSetting(
-                        float(interference[0]), float(interference[1])
+                        float(pressure), float(count)
                     )
                 except (TypeError, ValueError):
-                    return self._predict_batch_scalar(unpacked, domain=domain)
+                    break
             if isinstance(interference, HomogeneousSetting):
                 bucket = hom.setdefault(workload, ([], [], []))
                 bucket[0].append(i)
@@ -548,98 +527,24 @@ class InterferenceModel:
                 het_workloads.append(workload)
                 het_vectors.append(interference)
             else:
-                return self._predict_batch_scalar(unpacked, domain=domain)
-        if het_indices:
+                break
+        else:
             values = kernel.predict_vectors(het_workloads, het_vectors)
-            if values is None:
-                return self._predict_batch_scalar(unpacked, domain=domain)
-            out[het_indices] = values
-        for workload, (indices, pressures, counts) in hom.items():
-            out[indices] = kernel.lookup_settings(
-                workload, np.asarray(pressures), np.asarray(counts)
-            )
-        return out
-
-    def _predict_batch_scalar(
-        self,
-        unpacked: Sequence[Tuple[str, object]],
-        *,
-        domain: ContentionDomain = ContentionDomain.COMPUTE,
-    ) -> np.ndarray:
-        """Reference scalar path (also the error-raising fallback)."""
+            if values is not None:
+                out = np.empty(len(unpacked), dtype=float)
+                out[het_indices] = values
+                for workload, (indices, pressures, counts) in hom.items():
+                    out[indices] = kernel.lookup_settings(
+                        workload, np.asarray(pressures), np.asarray(counts)
+                    )
+                return out
+        # A malformed request: replay the whole batch on the scalar
+        # path, which raises the scalar error in request order.
         return np.array(
             [self.predict(workload, interference, domain=domain)
              for workload, interference in unpacked],
             dtype=float,
         )
-
-    def predict_placement_batch(
-        self, placement: "Placement"  # noqa: F821
-    ) -> Dict[str, float]:
-        """All of a placement's instance predictions in one batch.
-
-        Bit-identical to
-        :func:`repro.placement.objectives.predict_placement_scalar`,
-        with the per-instance table in the same (instance) order.
-        """
-        kernel = self.prediction_kernel()
-        triples = kernel.placement_vectors(placement)
-        _count_batch(len(triples))
-        values = kernel.predict_vectors(
-            [workload for _, workload, _ in triples],
-            [vector for _, _, vector in triples],
-        )
-        net_triples = None
-        if self.has_network:
-            # Same placement, network view: vectors combine co-runner
-            # *network* scores; triple order matches `triples`.
-            net_triples = self.network_kernel().placement_vectors(placement)
-        if values is not None and net_triples is not None:
-            values = self._fold_placement_network(values, triples, net_triples)
-        if values is None:
-            predictable = self._network_predictable()
-            out: Dict[str, float] = {}
-            for i, (key, workload, vector) in enumerate(triples):
-                value = self.predict_heterogeneous(workload, vector)
-                if net_triples is not None and workload in predictable:
-                    value = value * self._predict_heterogeneous(
-                        workload, net_triples[i][2],
-                        domain=ContentionDomain.NETWORK,
-                    )
-                out[key] = value
-            return out
-        return {
-            key: float(value)
-            for (key, _, _), value in zip(triples, values)
-        }
-
-    def _fold_placement_network(
-        self,
-        values: np.ndarray,
-        triples: Sequence[Tuple[str, str, List[float]]],
-        net_triples: Sequence[Tuple[str, str, List[float]]],
-    ) -> Optional[np.ndarray]:
-        """Multiply NETWORK factors into placement predictions in place.
-
-        Returns ``None`` on a network-kernel anomaly so the caller
-        replays the combined scalar path.
-        """
-        predictable = self._network_predictable()
-        indices = [
-            i for i, (_, workload, _) in enumerate(triples)
-            if workload in predictable
-        ]
-        if not indices:
-            return values
-        factors = self.network_kernel().predict_vectors(
-            [triples[i][1] for i in indices],
-            [net_triples[i][2] for i in indices],
-        )
-        if factors is None:
-            return None
-        for i, factor in zip(indices, factors):
-            values[i] = values[i] * factor
-        return values
 
     def predict_placements_batch(
         self, placements: Sequence["Placement"]  # noqa: F821
@@ -648,19 +553,16 @@ class InterferenceModel:
 
         All placements must share the same instance list in the same
         order (an admission wave extends one base placement with the
-        same job).  Returns a ``(num_placements, num_instances)`` array
-        whose row ``c`` holds candidate ``c``'s per-instance
-        predictions in instance order.
+        same job; a single placement is a wave of one).  Returns a
+        ``(num_placements, num_instances)`` array whose row ``c`` holds
+        candidate ``c``'s per-instance predictions in instance order,
+        bit-identical to
+        :func:`repro.placement.objectives.predict_placement_scalar`.
         """
         if not placements:
             return np.empty((0, 0), dtype=float)
         keys = tuple(spec.instance_key for spec in placements[0].instances)
-        workloads: List[str] = []
-        vectors: List[List[float]] = []
-        kernel = self.prediction_kernel()
-        net_kernel = self.network_kernel() if self.has_network else None
-        net_vectors: List[List[float]] = []
-        for placement in placements:
+        for placement in placements[1:]:
             if tuple(
                 spec.instance_key for spec in placement.instances
             ) != keys:
@@ -668,47 +570,50 @@ class InterferenceModel:
                     "predict_placements_batch requires every placement "
                     "to share one instance list"
                 )
+        workloads: List[str] = []
+        vectors: List[List[float]] = []
+        kernel = self.prediction_kernel()
+        for placement in placements:
             for _, workload, vector in kernel.placement_vectors(placement):
                 workloads.append(workload)
                 vectors.append(vector)
-            if net_kernel is not None:
-                for _, _, vector in net_kernel.placement_vectors(placement):
-                    net_vectors.append(vector)
         _count_batch(len(workloads))
         values = kernel.predict_vectors(workloads, vectors)
-        if values is None:
-            values = np.array(
-                [
-                    self.predict_heterogeneous(workload, vector)
-                    for workload, vector in zip(workloads, vectors)
-                ],
-                dtype=float,
-            )
-        if net_kernel is not None:
-            predictable = self._network_predictable()
+        net_vectors: List[List[float]] = []
+        predictable = self._network_predictable()
+        if predictable:
+            # Same placements, network view: vectors combine co-runner
+            # *network* scores, in the same instance order.
+            net_kernel = self.network_kernel()
+            for placement in placements:
+                for _, _, vector in net_kernel.placement_vectors(placement):
+                    net_vectors.append(vector)
+        if values is not None and predictable:
             indices = [
                 i for i, workload in enumerate(workloads)
                 if workload in predictable
             ]
-            if indices:
-                factors = net_kernel.predict_vectors(
-                    [workloads[i] for i in indices],
-                    [net_vectors[i] for i in indices],
-                )
-                if factors is None:
-                    factors = np.array(
-                        [
-                            self._predict_heterogeneous(
-                                workloads[i],
-                                net_vectors[i],
-                                domain=ContentionDomain.NETWORK,
-                            )
-                            for i in indices
-                        ],
-                        dtype=float,
+            factors = net_kernel.predict_vectors(
+                [workloads[i] for i in indices],
+                [net_vectors[i] for i in indices],
+            )
+            if factors is None:
+                values = None
+            else:
+                values[indices] = values[indices] * factors
+        if values is None:
+            # An anomaly (unknown workload, NaN pressure, ...): replay
+            # the combined scalar path, which raises the scalar error.
+            replay: List[float] = []
+            for i, (workload, vector) in enumerate(zip(workloads, vectors)):
+                value = self._predict_heterogeneous(workload, vector)
+                if workload in predictable:
+                    value = value * self._predict_heterogeneous(
+                        workload, net_vectors[i],
+                        domain=ContentionDomain.NETWORK,
                     )
-                for i, factor in zip(indices, factors):
-                    values[i] = values[i] * factor
+                replay.append(value)
+            values = np.array(replay, dtype=float)
         return values.reshape(len(placements), len(keys))
 
     # ------------------------------------------------------------------

@@ -102,7 +102,7 @@ class MultiwayPredictor:
     ) -> float:
         """Normalized time under arbitrary-way co-location."""
         vector = self.pressure_vector(workload_nodes, co_runners_by_node)
-        return self.model.predict_heterogeneous(workload, vector)
+        return self.model.predict(workload, vector)
 
 
 def relaxed_cluster_spec(

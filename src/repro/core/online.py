@@ -117,34 +117,12 @@ class OnlineModel:
         self,
         workload_nodes: Sequence[int],
         co_runners_by_node: Mapping[int, Sequence[str]],
+        *,
+        domain: ContentionDomain = ContentionDomain.COMPUTE,
     ) -> List[float]:
         """Per-node pressures (delegated to the static model)."""
-        return self.base.pressure_vector(workload_nodes, co_runners_by_node)
-
-    def network_pressure_vector(
-        self,
-        workload_nodes: Sequence[int],
-        co_runners_by_node: Mapping[int, Sequence[str]],
-    ) -> List[float]:
-        """Per-node link pressures (delegated to the static model)."""
-        return self.base.network_pressure_vector(
-            workload_nodes, co_runners_by_node
-        )
-
-    def predict_homogeneous(
-        self, workload: str, pressure: float, count: float
-    ) -> float:
-        """Corrected homogeneous prediction."""
-        return self._apply(
-            workload, self.base.predict_homogeneous(workload, pressure, count)
-        )
-
-    def predict_heterogeneous(
-        self, workload: str, pressures: Sequence[float]
-    ) -> float:
-        """Corrected heterogeneous prediction."""
-        return self._apply(
-            workload, self.base.predict_heterogeneous(workload, pressures)
+        return self.base.pressure_vector(
+            workload_nodes, co_runners_by_node, domain=domain
         )
 
     def predict_under_corunners(
@@ -199,30 +177,15 @@ class OnlineModel:
         ]
         return self._apply_batch(workloads, values)
 
-    def predict_placement_batch(self, placement) -> Dict[str, float]:
-        """Corrected :meth:`InterferenceModel.predict_placement_batch`."""
-        raw = self.base.predict_placement_batch(placement)
-        workload_of = {
-            spec.instance_key: spec.workload for spec in placement.instances
-        }
-        return {
-            key: float(self._apply(workload_of[key], value))
-            for key, value in raw.items()
-        }
-
     def predict_placements_batch(self, placements: Sequence) -> np.ndarray:
         """Corrected :meth:`InterferenceModel.predict_placements_batch`."""
         values = self.base.predict_placements_batch(placements)
         if values.size == 0:
             return values
-        factors = np.array(
-            [
-                self.correction(spec.workload).factor
-                for spec in placements[0].instances
-            ],
-            dtype=float,
+        # Per-instance factors broadcast across the wave's rows.
+        return self._apply_batch(
+            [spec.workload for spec in placements[0].instances], values
         )
-        return 1.0 + (values - 1.0) * factors[None, :]
 
     # ------------------------------------------------------------------
     # Learning

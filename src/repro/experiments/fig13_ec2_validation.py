@@ -90,7 +90,7 @@ def run_fig13(
         for co_runner in workloads:
             score = model.profile(co_runner).bubble_score
             vector = [score] * context.runner.num_nodes
-            predicted = model.predict_heterogeneous(target, vector)
+            predicted = model.predict(target, vector)
             for rep in range(reps):
                 times = context.runner.corun_pair(target, co_runner, rep=rep)
                 actual = times[f"{target}#0"]

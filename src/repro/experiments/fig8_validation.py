@@ -75,7 +75,7 @@ def predict_pair(context: ExperimentContext, target: str, co_runner: str) -> flo
     model = context.model
     score = model.profile(co_runner).bubble_score
     vector = [score] * context.runner.num_nodes
-    return model.predict_heterogeneous(target, vector)
+    return model.predict(target, vector)
 
 
 def run_fig8(

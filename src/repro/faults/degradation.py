@@ -53,32 +53,32 @@ def conservative_placements_batch(
 
     Returns a float array with one ALL-max prediction per candidate
     placement, bit-identical to calling :func:`conservative_prediction`
-    per candidate.  Models exposing a ``prediction_kernel`` (the
-    interference-aware family) are evaluated in one vectorized batch;
-    anything else falls back to the scalar loop.
+    per candidate.  ``model`` must offer ``prediction_kernel`` (the
+    interference-aware family); any batch anomaly replays the scalar
+    loop, which raises the scalar error.
     """
     import numpy as np
 
     from repro.core.policies import AllMaxPolicy
 
-    kernel_of = getattr(model, "prediction_kernel", None)
-    if kernel_of is not None:
-        kernel = kernel_of()
-        if kernel.knows(workload):
-            vectors = [
-                kernel.pressure_vector(
-                    placement.spanned_nodes(instance_key),
-                    placement.co_runner_workloads(instance_key),
-                )
-                for placement in placements
-            ]
-            values = kernel.predict_vectors(
-                [workload] * len(placements),
-                vectors,
-                policy_override=AllMaxPolicy(),
+    kernel = model.prediction_kernel()
+    # An unknown workload goes straight to the scalar loop, so its error
+    # is raised at the first candidate exactly as the scalar path does.
+    if kernel.knows(workload):
+        vectors = [
+            kernel.pressure_vector(
+                placement.spanned_nodes(instance_key),
+                placement.co_runner_workloads(instance_key),
             )
-            if values is not None:
-                return values
+            for placement in placements
+        ]
+        values = kernel.predict_vectors(
+            [workload] * len(placements),
+            vectors,
+            policy_override=AllMaxPolicy(),
+        )
+        if values is not None:
+            return values
     return np.array(
         [
             conservative_prediction(

@@ -25,15 +25,19 @@ def predict_placement(model, placement: Placement) -> Dict[str, float]:
 
     ``model`` may be the interference-aware model or the naive
     proportional model — both expose ``predict_under_corunners``.
-    Models exposing ``predict_placement_batch`` (the interference-aware
-    family) are evaluated in one vectorized batch; results are
-    bit-identical to :func:`predict_placement_scalar`, which remains
-    the reference oracle.
+    Models exposing ``predict_placements_batch`` (the interference-aware
+    family) score the placement as a wave of one in a single vectorized
+    batch; results are bit-identical to :func:`predict_placement_scalar`,
+    which remains the reference oracle.
     """
-    batch = getattr(model, "predict_placement_batch", None)
-    if batch is not None:
-        return batch(placement)
-    return predict_placement_scalar(model, placement)
+    batch = getattr(model, "predict_placements_batch", None)
+    if batch is None:
+        return predict_placement_scalar(model, placement)
+    (row,) = batch([placement])
+    return {
+        spec.instance_key: float(value)
+        for spec, value in zip(placement.instances, row)
+    }
 
 
 def predict_placement_scalar(model, placement: Placement) -> Dict[str, float]:

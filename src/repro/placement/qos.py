@@ -34,6 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro._util import mean
 from repro.cluster.cluster import ClusterSpec
+from repro.cluster.contention import ContentionDomain
 from repro.placement.annealing import (
     AnnealingSchedule,
     SearchResult,
@@ -98,7 +99,9 @@ class ConstrainedEnergy(PredictionEnergy):
             pressures.extend(vector)
             if network:
                 pressures.extend(
-                    self.model.network_pressure_vector(nodes, coworkers)
+                    self.model.pressure_vector(
+                        nodes, coworkers, domain=ContentionDomain.NETWORK
+                    )
                 )
         return mean(pressures) if pressures else 0.0
 

@@ -12,13 +12,11 @@ distinguish EC2 from the private testbed and are reproduced here:
 * **scale** — 32 "nodes" (VMs) instead of 8, with the sparse
   interfering-VM counts of Figure 12: 0, 1, 2, 4, 8, 16, 24, 32.
 
-This module used to live at ``repro.ec2.environment`` as a standalone
-stub; it now also registers the pool as the ``ec2`` capacity provider
+The module also registers the pool as the ``ec2`` capacity provider
 (a fixed, fully durable 32-instance
 :class:`~repro.providers.static.StaticProvider` — the paper's
 validation never resizes), so ``make_provider("ec2")`` stands up the
-same environment the Section 6 experiments measure against.  The old
-import path keeps working through a warn-once shim.
+same environment the Section 6 experiments measure against.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ most *QoS headroom*: the router probes a few candidate node
 combinations per cell (enumerated in the same deterministic sorted
 order the admission controller uses), scores them through the cell's
 own online model — in one vectorized
-``predict_placements_batch`` call when the model supports it — and
+``predict_placements_batch`` call — and
 summarizes each cell as the best candidate's worst margin over every
 mission-critical bound involved.  Emptier, calmer cells score higher;
 the global tier (:mod:`repro.scale.coordinator`) only intervenes later
@@ -25,10 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import PlacementError, ServiceError
 from repro.obs import recorder as _obs
-from repro.placement.objectives import (
-    QoSConstraint,
-    predict_placement_scalar,
-)
+from repro.placement.objectives import QoSConstraint
 from repro.service.admission import placement_with_job
 from repro.service.jobs import Job
 
@@ -254,15 +251,10 @@ class HeadroomRouter:
 
     @staticmethod
     def _predict(model, candidates: Sequence) -> List[Dict[str, float]]:
-        """Per-candidate prediction tables, batched when the model can."""
-        if hasattr(model, "predict_placements_batch"):
-            matrix = model.predict_placements_batch(candidates)
-            keys = [spec.instance_key for spec in candidates[0].instances]
-            return [
-                {key: float(value) for key, value in zip(keys, row)}
-                for row in matrix
-            ]
+        """Per-candidate prediction tables from one wave batch."""
+        matrix = model.predict_placements_batch(candidates)
+        keys = [spec.instance_key for spec in candidates[0].instances]
         return [
-            predict_placement_scalar(model, candidate)
-            for candidate in candidates
+            {key: float(value) for key, value in zip(keys, row)}
+            for row in matrix
         ]

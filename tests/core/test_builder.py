@@ -49,7 +49,7 @@ class TestBuildModel:
             assert outcome.matrix.is_complete()
 
     def test_model_predicts(self, report):
-        assert report.model.predict_homogeneous("appA", 8.0, 4) > 1.0
+        assert report.model.predict("appA", (8.0, 4)) > 1.0
 
     def test_unknown_algorithm(self, runner):
         with pytest.raises(ProfilingError, match="unknown profiling algorithm"):

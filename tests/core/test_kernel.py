@@ -161,7 +161,7 @@ class TestBatchIdentity:
             ("w1", [4.0, 0.5, 2.0]),
         ]
         scalar = [
-            online.predict_heterogeneous(w, arg) for w, arg in requests
+            online.predict(w, arg) for w, arg in requests
         ]
         assert list(online.predict_batch(requests)) == scalar
 

@@ -1,5 +1,7 @@
 """Tests for the interference-aware performance model."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,20 @@ class TestProfile:
         with pytest.raises(ModelError):
             profile(score=-1.0)
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf")])
+    def test_non_finite_score(self, score):
+        with pytest.raises(ModelError, match="bubble_score must be finite"):
+            profile(score=score)
+
+    @pytest.mark.parametrize("field", ["bubble_score", "network_score"])
+    def test_non_finite_score_in_model_file(self, field):
+        # ``json`` writes and parses NaN, so a model file can carry it.
+        entry = profile().to_dict()
+        entry[field] = float("nan")
+        payload = json.loads(json.dumps({"app": entry}))
+        with pytest.raises(ModelError, match=f"{field} must be finite"):
+            InterferenceModel.from_dict(payload)
+
     def test_serialization_roundtrip(self):
         original = profile()
         clone = InterferenceProfile.from_dict(original.to_dict())
@@ -59,28 +75,28 @@ class TestProfile:
 class TestPredictions:
     def test_homogeneous_grid_point(self):
         model = model_with(profile())
-        assert model.predict_homogeneous("app", 4.0, 2.0) == pytest.approx(1.2)
+        assert model.predict("app", (4.0, 2.0)) == pytest.approx(1.2)
 
     def test_heterogeneous_applies_policy(self):
         # [8, 2, 0, 0] under N+1 MAX -> (8, 2) -> 1.40.
         model = model_with(profile("N+1 MAX"))
-        assert model.predict_heterogeneous("app", [8, 2, 0, 0]) == pytest.approx(1.4)
+        assert model.predict("app", [8, 2, 0, 0]) == pytest.approx(1.4)
 
     def test_heterogeneous_interpolate_policy(self):
         # [8, 0, 0, 0] under INTERPOLATE -> (2, 4) -> 1.20.
         model = model_with(profile("INTERPOLATE"))
-        assert model.predict_heterogeneous("app", [8, 0, 0, 0]) == pytest.approx(1.2)
+        assert model.predict("app", [8, 0, 0, 0]) == pytest.approx(1.2)
 
     def test_span_rescaling(self):
         # A 2-node vector on a 4-count matrix: 1 interfering node out
         # of 2 spans scales to 2 of 4.
         model = model_with(profile("N MAX"))
-        assert model.predict_heterogeneous("app", [8, 0]) == pytest.approx(1.4)
+        assert model.predict("app", [8, 0]) == pytest.approx(1.4)
 
     def test_unknown_workload(self):
         model = model_with(profile())
         with pytest.raises(ModelError, match="no interference profile"):
-            model.predict_homogeneous("ghost", 4.0, 1.0)
+            model.predict("ghost", (4.0, 1.0))
 
 
 class TestUnifiedPredict:
@@ -127,14 +143,16 @@ class TestUnifiedPredict:
         with pytest.raises(ModelError, match="interference must be"):
             model.predict("app", 8.0)
 
-    def test_legacy_methods_agree_with_predict(self):
+    def test_call_forms_agree_with_private_paths(self):
+        # A tuple is the homogeneous lookup and a list the per-node
+        # vector; both are the same arithmetic as the private paths.
         model = model_with(profile("N+1 MAX"))
-        assert model.predict_homogeneous("app", 4.0, 2.0) == model.predict(
-            "app", (4.0, 2.0)
+        assert model.predict("app", (4.0, 2.0)) == (
+            model._predict_homogeneous("app", 4.0, 2.0)
         )
-        assert model.predict_heterogeneous(
-            "app", [8, 2, 0, 0]
-        ) == model.predict("app", [8, 2, 0, 0])
+        assert model.predict("app", [8, 2, 0, 0]) == (
+            model._predict_heterogeneous("app", [8.0, 2.0, 0.0, 0.0])
+        )
 
 
 class TestPressureVector:
@@ -174,4 +192,4 @@ class TestModelManagement:
         model = model_with(profile(workload="a"), profile(workload="b"))
         clone = InterferenceModel.from_dict(model.to_dict())
         assert clone.workloads == model.workloads
-        assert clone.predict_homogeneous("a", 4.0, 2.0) == pytest.approx(1.2)
+        assert clone.predict("a", (4.0, 2.0)) == pytest.approx(1.2)

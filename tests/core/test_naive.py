@@ -39,7 +39,7 @@ class TestNaiveHomogeneous:
         # badly underestimating the real 1.70.
         model, naive = setup_models()
         assert naive.predict_homogeneous("app", 8.0, 1.0) == pytest.approx(1.2)
-        assert model.predict_homogeneous("app", 8.0, 1.0) == pytest.approx(1.7)
+        assert model.predict("app", (8.0, 1.0)) == pytest.approx(1.7)
 
     def test_no_interference(self):
         _, naive = setup_models()

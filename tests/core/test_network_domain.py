@@ -18,6 +18,10 @@ from repro.core.model import NETWORK_POLICY, InterferenceModel, InterferenceProf
 from repro.core.online import OnlineModel
 from repro.errors import ModelError
 from repro.placement.assignment import InstanceSpec, Placement
+from repro.placement.objectives import (
+    predict_placement,
+    predict_placement_scalar,
+)
 
 
 def compute_matrix():
@@ -125,12 +129,14 @@ class TestCombinedPredictions:
         model = self.make_model()
         nodes = [0, 1]
         co_runners = {0: ["src"], 1: []}
-        compute = model.predict_heterogeneous(
+        compute = model.predict(
             "app", model.pressure_vector(nodes, co_runners)
         )
         factor = model.predict(
             "app",
-            model.network_pressure_vector(nodes, co_runners),
+            model.pressure_vector(
+                nodes, co_runners, domain=ContentionDomain.NETWORK
+            ),
             domain=ContentionDomain.NETWORK,
         )
         combined = model.predict_under_corunners("app", nodes, co_runners)
@@ -141,7 +147,7 @@ class TestCombinedPredictions:
         model = self.make_model()
         nodes = [0, 1]
         co_runners = {0: ["src"], 1: ["app"]}
-        compute = model.predict_heterogeneous(
+        compute = model.predict(
             "plain", model.pressure_vector(nodes, co_runners)
         )
         assert model.predict_under_corunners(
@@ -150,8 +156,8 @@ class TestCombinedPredictions:
 
     def test_network_pressure_vector_uses_network_scores(self):
         model = self.make_model()
-        vector = model.network_pressure_vector(
-            [0, 1], {0: ["src"], 1: ["plain"]}
+        vector = model.pressure_vector(
+            [0, 1], {0: ["src"], 1: ["plain"]}, domain="network"
         )
         assert vector[0] == 8.0   # src's network score
         assert vector[1] == 0.0   # plain has no network score
@@ -188,7 +194,10 @@ class TestBatchScalarIdentity:
             )
 
     def test_placement_batches_match_combined_scalar(self):
-        model = self.make_model()
+        static = self.make_model()
+        online = OnlineModel(static)
+        online.observe("app", predicted=1.3, measured=1.6)
+        online.observe("plain", predicted=1.4, measured=1.2)
         spec = ClusterSpec(num_nodes=8)
         instances = [
             InstanceSpec("app#0", "app", 4),
@@ -199,24 +208,26 @@ class TestBatchScalarIdentity:
         placements = [
             Placement.random(spec, instances, seed=s) for s in range(4)
         ]
-        for placement in placements:
-            batch = model.predict_placement_batch(placement)
-            for key in batch:
-                instance = next(
-                    i for i in instances if i.instance_key == key
-                )
-                assert batch[key] == model.predict_under_corunners(
-                    instance.workload,
-                    placement.spanned_nodes(key),
-                    placement.co_runner_workloads(key),
-                )
-        # The wave surface returns a (num_placements, num_instances)
-        # row per candidate, in instance order.
-        many = model.predict_placements_batch(placements)
-        for row, placement in zip(many, placements):
-            per_key = model.predict_placement_batch(placement)
-            for value, instance in zip(row, instances):
-                assert value == per_key[instance.instance_key]
+        for model in (static, online):
+            for placement in placements:
+                batch = predict_placement(model, placement)
+                assert batch == predict_placement_scalar(model, placement)
+                for key in batch:
+                    instance = next(
+                        i for i in instances if i.instance_key == key
+                    )
+                    assert batch[key] == model.predict_under_corunners(
+                        instance.workload,
+                        placement.spanned_nodes(key),
+                        placement.co_runner_workloads(key),
+                    )
+            # The wave surface returns a (num_placements, num_instances)
+            # row per candidate, in instance order.
+            many = model.predict_placements_batch(placements)
+            for row, placement in zip(many, placements):
+                per_key = predict_placement(model, placement)
+                for value, instance in zip(row, instances):
+                    assert value == per_key[instance.instance_key]
 
 
 class TestSerialization:
@@ -268,9 +279,10 @@ class TestOnlineModelPassthrough:
         online = OnlineModel(base)
         nodes = [0, 1]
         co_runners = {0: ["src"]}
-        assert online.network_pressure_vector(
-            nodes, co_runners
-        ) == base.network_pressure_vector(nodes, co_runners)
+        network = ContentionDomain.NETWORK
+        assert online.pressure_vector(
+            nodes, co_runners, domain=network
+        ) == base.pressure_vector(nodes, co_runners, domain=network)
 
 
 class TestStableApiExports:

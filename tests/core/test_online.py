@@ -25,15 +25,15 @@ class TestPriorBehaviour:
     def test_unobserved_matches_static(self):
         online = OnlineModel(base_model())
         static = base_model()
-        assert online.predict_homogeneous("app", 8.0, 2.0) == (
-            static.predict_homogeneous("app", 8.0, 2.0)
+        assert online.predict("app", (8.0, 2.0)) == (
+            static.predict("app", (8.0, 2.0))
         )
 
     def test_solo_prediction_never_distorted(self):
         online = OnlineModel(base_model(), learning_rate=1.0)
         for _ in range(5):
             online.observe("app", predicted=1.5, measured=2.0)
-        assert online.predict_homogeneous("app", 0.0, 0.0) == 1.0
+        assert online.predict("app", (0.0, 0.0)) == 1.0
 
     def test_delegations(self):
         online = OnlineModel(base_model())
@@ -45,16 +45,16 @@ class TestPriorBehaviour:
 class TestLearning:
     def test_underprediction_raises_future_predictions(self):
         online = OnlineModel(base_model(), learning_rate=1.0, max_correction=0.5)
-        before = online.predict_homogeneous("app", 8.0, 2.0)
+        before = online.predict("app", (8.0, 2.0))
         online.observe("app", predicted=before, measured=before * 1.2)
-        after = online.predict_homogeneous("app", 8.0, 2.0)
+        after = online.predict("app", (8.0, 2.0))
         assert after > before
 
     def test_overprediction_lowers_future_predictions(self):
         online = OnlineModel(base_model(), learning_rate=1.0, max_correction=0.5)
-        before = online.predict_homogeneous("app", 8.0, 2.0)
+        before = online.predict("app", (8.0, 2.0))
         online.observe("app", predicted=before, measured=1.0 + (before - 1.0) * 0.6)
-        assert online.predict_homogeneous("app", 8.0, 2.0) < before
+        assert online.predict("app", (8.0, 2.0)) < before
 
     def test_correction_bounded(self):
         online = OnlineModel(base_model(), learning_rate=1.0, max_correction=0.2)
@@ -66,10 +66,10 @@ class TestLearning:
         # Truth is consistently 1.25x the static interference part.
         online = OnlineModel(base_model(), learning_rate=0.5, max_correction=0.5)
         for _ in range(25):
-            predicted = online.predict_homogeneous("app", 8.0, 2.0)
+            predicted = online.predict("app", (8.0, 2.0))
             measured = 1.0 + (2.0 - 1.0) * 1.25  # static part is 1.0
             online.observe("app", predicted, measured)
-        final = online.predict_homogeneous("app", 8.0, 2.0)
+        final = online.predict("app", (8.0, 2.0))
         assert final == pytest.approx(measured, rel=0.03)
 
     def test_observation_bookkeeping(self):

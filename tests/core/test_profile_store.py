@@ -28,7 +28,7 @@ class TestProfileStore:
         loaded = load_model(path)
         assert loaded.workloads == ["app"]
         assert loaded.profile("app").bubble_score == 2.5
-        assert loaded.predict_homogeneous("app", 8.0, 1.0) == pytest.approx(1.5)
+        assert loaded.predict("app", (8.0, 1.0)) == pytest.approx(1.5)
 
     def test_file_is_json(self, tmp_path):
         path = tmp_path / "model.json"

@@ -1,9 +1,5 @@
 """Tests for the EC2 validation environment."""
 
-import warnings
-
-import pytest
-
 from repro.providers.ec2 import (
     EC2_COUNTS,
     EC2_NUM_INSTANCES,
@@ -64,31 +60,3 @@ class TestEC2Provider:
         assert provider.live_nodes() == list(range(EC2_NUM_INSTANCES))
         assert provider.durable_nodes() == provider.schedulable_nodes()
 
-
-class TestLegacyShim:
-    def test_old_import_path_warns_once(self):
-        import repro.ec2.environment as legacy
-
-        legacy._WARNED.discard("ec2_cluster_spec")
-        legacy.__dict__.pop("ec2_cluster_spec", None)
-        with pytest.warns(DeprecationWarning, match="repro.providers.ec2"):
-            spec_fn = legacy.ec2_cluster_spec
-        assert spec_fn is ec2_cluster_spec
-        # Cached: the second lookup neither warns nor re-resolves.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert legacy.ec2_cluster_spec is ec2_cluster_spec
-
-    def test_package_shim_forwards(self):
-        import repro.ec2 as legacy_pkg
-
-        legacy_pkg._WARNED.discard("make_ec2_runner")
-        legacy_pkg.__dict__.pop("make_ec2_runner", None)
-        with pytest.warns(DeprecationWarning):
-            assert legacy_pkg.make_ec2_runner is make_ec2_runner
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.ec2.environment as legacy
-
-        with pytest.raises(AttributeError):
-            legacy.does_not_exist

@@ -54,13 +54,13 @@ class TestPredictionQuality:
     def test_homogeneous_prediction_close_to_fresh_run(
         self, built, catalog_runner_module
     ):
-        predicted = built.model.predict_homogeneous("M.lmps", 6.0, 4)
+        predicted = built.model.predict("M.lmps", (6.0, 4))
         actual = catalog_runner_module.measure("M.lmps", 6.0, 4, rep=77)
         assert predicted == pytest.approx(actual, rel=0.12)
 
     def test_pairwise_corun_prediction(self, built, catalog_runner_module):
         score = built.model.profile("C.libq").bubble_score
-        predicted = built.model.predict_heterogeneous("M.lmps", [score] * 8)
+        predicted = built.model.predict("M.lmps", [score] * 8)
         actual = catalog_runner_module.corun_pair("M.lmps", "C.libq", rep=7)[
             "M.lmps#0"
         ]
@@ -72,8 +72,8 @@ class TestStoreRoundtrip:
         path = tmp_path / "model.json"
         save_model(built.model, path)
         loaded = load_model(path)
-        assert loaded.predict_homogeneous("M.Gems", 5.0, 3) == pytest.approx(
-            built.model.predict_homogeneous("M.Gems", 5.0, 3)
+        assert loaded.predict("M.Gems", (5.0, 3)) == pytest.approx(
+            built.model.predict("M.Gems", (5.0, 3))
         )
 
 
@@ -102,5 +102,5 @@ class TestPlacementPipeline:
         assert naive.workloads == built.model.workloads
         full = built.model.profile("M.lmps").matrix.max_count
         assert naive.predict_homogeneous("M.lmps", 8.0, full) == pytest.approx(
-            built.model.predict_homogeneous("M.lmps", 8.0, full)
+            built.model.predict("M.lmps", (8.0, full))
         )

@@ -1,6 +1,4 @@
-"""Tests for the `repro.api` facade and the legacy import shims."""
-
-import warnings
+"""Tests for the `repro.api` facade."""
 
 import pytest
 
@@ -32,51 +30,12 @@ class TestFacade:
 
 
 class TestLegacyShims:
-    @pytest.fixture(autouse=True)
-    def _reset_shim_state(self):
-        # Each test sees the warn-once machinery fresh.
-        saved = set(repro._LEGACY_WARNED)
-        for name in repro._LEGACY_ALIASES:
-            repro._LEGACY_WARNED.discard(name)
-            repro.__dict__.pop(name, None)
-        yield
-        repro._LEGACY_WARNED |= saved
-
-    def test_legacy_names_resolve_to_their_new_homes(self):
-        from repro.apps import make_bubble
-        from repro.cluster import Cluster
-        from repro.units import MAX_PRESSURE, NUM_PRESSURE_LEVELS
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert repro.Cluster is Cluster
-            assert repro.make_bubble is make_bubble
-            assert repro.MAX_PRESSURE == MAX_PRESSURE
-            assert repro.NUM_PRESSURE_LEVELS == NUM_PRESSURE_LEVELS
-
-    def test_each_symbol_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = repro.__getattr__("Cluster")
-            second = repro.__getattr__("Cluster")
-            repro.__getattr__("make_bubble")
-        assert first is second
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
-        assert "Cluster" in str(deprecations[0].message)
-        assert "make_bubble" in str(deprecations[1].message)
-
-    def test_repeat_access_skips_getattr_via_globals_cache(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            value = repro.Cluster
-        # After first resolution the object is cached in the module
-        # namespace, so attribute access no longer goes through
-        # __getattr__ (and thus can never warn again).
-        assert repro.__dict__["Cluster"] is value
+    """The pre-1.1 top-level aliases are gone; no ``__getattr__`` hook."""
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'Nonsense'"):
             repro.Nonsense
+
+    def test_removed_aliases_raise(self):
+        for name in ("Cluster", "make_bubble", "MAX_PRESSURE"):
+            assert not hasattr(repro, name), name

@@ -25,7 +25,11 @@ from repro.core.curves import PropagationMatrix
 from repro.core.model import InterferenceModel, InterferenceProfile
 from repro.placement.annealing import AnnealingSchedule, SimulatedAnnealingPlacer
 from repro.placement.assignment import InstanceSpec, Placement
-from repro.placement.objectives import WeightedTimeEnergy
+from repro.placement.objectives import (
+    WeightedTimeEnergy,
+    predict_placement,
+    predict_placement_scalar,
+)
 from repro.sim.runner import MeasurementRequest
 from tests._synthetic import quiet_runner
 
@@ -176,14 +180,12 @@ def _smoke_placement(num_instances: int, num_nodes: int) -> Placement:
 def test_full_placement_batch_not_regressed():
     model = _smoke_model()
     placement = _smoke_placement(num_instances=24, num_nodes=56)
-    batch = model.predict_placement_batch(placement)
-    from repro.placement.objectives import predict_placement_scalar
-
+    batch = predict_placement(model, placement)
     assert batch == predict_placement_scalar(model, placement)
 
     def run():
         for _ in range(40):
-            model.predict_placement_batch(placement)
+            predict_placement(model, placement)
 
     _check("full_placement_batch_s", _best_of(run))
 

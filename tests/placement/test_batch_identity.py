@@ -1,10 +1,12 @@
 """Placement-level bit-identity of the batch prediction path.
 
-``predict_placement`` dispatches to the vectorized
-:meth:`~repro.core.model.InterferenceModel.predict_placement_batch`
+``predict_placement`` scores a placement as a wave of one through the
+vectorized
+:meth:`~repro.core.model.InterferenceModel.predict_placements_batch`
 whenever the model offers it; these tests pin that route to the scalar
-reference (:func:`predict_placement_scalar`) bit for bit, including
-through a whole annealing search.
+reference (:func:`predict_placement_scalar`) bit for bit — values,
+errors and the empty placement — including through a whole annealing
+search.
 """
 
 import random
@@ -16,6 +18,7 @@ from repro.cluster.cluster import ClusterSpec
 from repro.core.curves import PropagationMatrix
 from repro.core.model import InterferenceModel, InterferenceProfile
 from repro.core.online import OnlineModel
+from repro.errors import ModelError
 from repro.placement.annealing import AnnealingSchedule, SimulatedAnnealingPlacer
 from repro.placement.assignment import InstanceSpec, Placement
 from repro.placement.objectives import (
@@ -37,7 +40,6 @@ class ScalarOnly:
     _HIDDEN = frozenset(
         {
             "predict_batch",
-            "predict_placement_batch",
             "predict_placements_batch",
             "prediction_kernel",
         }
@@ -121,6 +123,36 @@ class TestPlacementIdentity:
         assert predict_placement(online, placement) == (
             predict_placement_scalar(online, placement)
         )
+
+    @pytest.mark.parametrize("online", [False, True])
+    def test_unknown_co_runner_raises_the_scalar_error(self, online):
+        rng = random.Random(21)
+        base = random_model(rng)
+        model = OnlineModel(base) if online else base
+        known = sorted(base.workloads)[0]
+        spec = ClusterSpec(num_nodes=4)
+        placement = Placement(
+            spec,
+            [InstanceSpec("a", known, 2), InstanceSpec("b", "ghost", 2)],
+            {"a": (0, 1), "b": (1, 2)},
+            unit_slots_per_node=2,
+        )
+        with pytest.raises(ModelError) as scalar:
+            predict_placement_scalar(model, placement)
+        with pytest.raises(ModelError) as batch:
+            predict_placement(model, placement)
+        assert "'ghost'" in str(scalar.value)
+        assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("online", [False, True])
+    def test_empty_placement_predicts_nothing(self, online):
+        base = random_model(random.Random(22))
+        model = OnlineModel(base) if online else base
+        placement = Placement(
+            ClusterSpec(num_nodes=4), [], {}, unit_slots_per_node=2
+        )
+        assert predict_placement(model, placement) == {}
+        assert predict_placement_scalar(model, placement) == {}
 
     def test_table_preserves_instance_order(self):
         rng = random.Random(7)

@@ -78,7 +78,7 @@ class TestModelProperties:
     def test_prediction_at_least_one_for_all_policies(self, vector):
         for policy in all_policies():
             model = self._model(policy.name)
-            assert model.predict_heterogeneous("app", vector) >= 1.0 - 1e-9
+            assert model.predict("app", vector) >= 1.0 - 1e-9
 
     @given(vector=vectors)
     @settings(max_examples=60)
@@ -86,7 +86,7 @@ class TestModelProperties:
         # ALL MAX converts to the most pessimistic setting, so on a
         # monotone matrix it dominates every other policy's prediction.
         predictions = {
-            policy.name: self._model(policy.name).predict_heterogeneous(
+            policy.name: self._model(policy.name).predict(
                 "app", vector
             )
             for policy in all_policies()
@@ -104,7 +104,7 @@ class TestModelProperties:
             return
         uniform = [level] * len(vector)
         values = {
-            policy.name: self._model(policy.name).predict_heterogeneous(
+            policy.name: self._model(policy.name).predict(
                 "app", uniform
             )
             for policy in all_policies()

@@ -198,7 +198,6 @@ class _ScalarOnlyModel:
     _HIDDEN = frozenset(
         {
             "predict_batch",
-            "predict_placement_batch",
             "predict_placements_batch",
             "prediction_kernel",
         }
