@@ -13,8 +13,9 @@ stable across releases:
   :meth:`~repro.core.model.InterferenceModel.predict` for one
   request, ``predict_under_corunners`` for one instance among its
   co-runners, :meth:`~repro.core.model.InterferenceModel.predict_batch`
-  for many requests and ``predict_placements_batch`` for a wave of
-  placements — the last two through the vectorized, bit-identical
+  for many requests and ``predict_corunners_batch`` for many instances
+  among their co-runners (a placement, or the instances an admission
+  candidate touches) — the last two through the vectorized, bit-identical
   :class:`PredictionRequest` / kernel-snapshot path, see the "Batch
   prediction" section of ``docs/performance.md``), persistence via
   :func:`load_model` / :func:`save_model`, the

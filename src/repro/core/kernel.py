@@ -9,9 +9,10 @@ heterogeneity policy, and bubble score behind contiguous NumPy arrays.
 The model's two batch entry points run on it:
 :meth:`~repro.core.model.InterferenceModel.predict_batch` scores a list
 of requests, and
-:meth:`~repro.core.model.InterferenceModel.predict_placements_batch`
-scores a wave of candidate placements (a single placement is a wave of
-one) in a handful of array operations.
+:meth:`~repro.core.model.InterferenceModel.predict_corunners_batch`
+scores many instances given their co-runners per node (a placement, or
+the instances an admission candidate touches) in a handful of array
+operations.
 
 **Bit-identity contract.**  The batch path must be a pure accelerator:
 every float it produces is bit-identical to the scalar path's.  Three
@@ -20,8 +21,8 @@ rules make that hold:
 * Pressure combination (:func:`~repro.cluster.contention.combine_pressures`)
   uses transcendentals whose vectorized rounding is not guaranteed to
   match ``math.log2``; the kernel therefore never vectorizes it — it
-  calls the scalar function once per distinct co-runner score tuple and
-  memoizes (placements reuse a handful of local configurations, so the
+  calls the scalar function once per distinct co-runner workload tuple
+  and memoizes (placements reuse a handful of local configurations, so the
   cache hit rate is high).
 * Policy conversion and matrix lookup use only elementwise ``+ - * /``,
   ``min``/``max``, and comparisons, replayed in the scalar operation
@@ -108,24 +109,13 @@ class PredictionKernel:
                 bubble_score=profile.bubble_score,
             )
             self._scores[name] = profile.bubble_score
-        # Distinct co-runner score tuple -> combined pressure, computed
-        # by the scalar combine (see module docstring).
-        self._combine_cache: Dict[Tuple[float, ...], float] = {}
-        # Single-score shortcut (score -> combined of its 1-tuple):
-        # two-unit-per-node clusters hit this for every co-runner.
-        self._single_cache: Dict[float, float] = {}
+        # Distinct co-runner workload tuple -> combined pressure,
+        # computed by the scalar combine (see module docstring).
+        self._combine_cache: Dict[Tuple[str, ...], float] = {}
 
     # ------------------------------------------------------------------
     # Pressure-vector extraction
     # ------------------------------------------------------------------
-    def combined_pressure(self, scores: Tuple[float, ...]) -> float:
-        """Memoized scalar :func:`combine_pressures` (surcharge-free)."""
-        value = self._combine_cache.get(scores)
-        if value is None:
-            value = combine_pressures(scores, collision_surcharge=0.0)
-            self._combine_cache[scores] = value
-        return value
-
     def _score_of(self, workload: str) -> float:
         try:
             return self._scores[workload]
@@ -135,103 +125,38 @@ class PredictionKernel:
                 f"profiled: {', '.join(self._workload_names)}"
             ) from None
 
-    def pressure_vector(
-        self,
-        workload_nodes: Sequence[int],
-        co_runners_by_node: Mapping[int, Sequence[str]],
-    ) -> List[float]:
-        """Mirror of :meth:`InterferenceModel.pressure_vector`."""
-        return [
-            self.combined_pressure(
-                tuple(
-                    self._score_of(name)
-                    for name in co_runners_by_node.get(node, ())
-                )
-            )
-            for node in workload_nodes
-        ]
+    def layout_vectors(
+        self, layouts: Sequence[Sequence[Sequence[str]]]
+    ) -> List[List[float]]:
+        """Per-node pressure vectors for co-runner workloads per node.
 
-    def placement_vectors(
-        self, placement: "Placement"  # noqa: F821
-    ) -> List[Tuple[str, str, List[float]]]:
-        """``(instance_key, workload, pressure_vector)`` per instance.
-
-        Equivalent to calling ``placement.co_runner_workloads`` plus
-        :meth:`pressure_vector` per instance, but built from a single
-        pass over the placement's per-node residents — the scalar
-        route is quadratic in the instance count.  The co-runner order
-        within a node is the placement's assignment order, exactly as
-        ``co_runner_workloads`` reports it, so the memoized combine
-        replays the scalar summation order.
+        ``layouts[j][i]`` holds the co-runners on the ``i``-th spanned
+        node of instance ``j``, so vector ``j`` mirrors
+        :meth:`InterferenceModel.pressure_vector` over
+        ``co_runners_by_node[node]`` for each of its nodes in order.
+        Each node's combined pressure is memoized per co-runner
+        workload tuple: the scalar combine runs once per distinct local
+        configuration.
         """
-        scores = self._scores
-        single = self._single_cache
-        residents = placement.node_residents()
-        empty = self.combined_pressure(())
-        # Per node, the combined co-runner pressure seen by each of its
-        # resident instances (excluding that instance's own units).
-        # Nodes host at most ``unit_slots_per_node`` units, so the one-
-        # and two-unit cases below cover real clusters; the generic
-        # branch keeps larger nodes exact (assignment-order tuples).
-        excluding: Dict[int, Dict[str, float]] = {}
+        cache = self._combine_cache
         try:
-            for node, units in residents.items():
-                if len(units) == 1:
-                    excluding[node] = {units[0][0]: empty}
-                    continue
-                if len(units) == 2:
-                    (key_a, work_a), (key_b, work_b) = units
-                    if key_a == key_b:
-                        excluding[node] = {key_a: empty}
-                        continue
-                    score_a = scores[work_a]
-                    score_b = scores[work_b]
-                    seen_by_a = single.get(score_b)
-                    if seen_by_a is None:
-                        seen_by_a = self.combined_pressure((score_b,))
-                        single[score_b] = seen_by_a
-                    seen_by_b = single.get(score_a)
-                    if seen_by_b is None:
-                        seen_by_b = self.combined_pressure((score_a,))
-                        single[score_a] = seen_by_b
-                    excluding[node] = {key_a: seen_by_a, key_b: seen_by_b}
-                    continue
-                scored = [(key, scores[workload]) for key, workload in units]
-                views: Dict[str, float] = {}
-                for key, _ in scored:
-                    if key not in views:
-                        views[key] = self.combined_pressure(
-                            tuple(
-                                [s for other, s in scored if other != key]
-                            )
-                        )
-                excluding[node] = views
-        except KeyError:
-            # An unknown workload somewhere: replay the scalar walk
-            # (instance order, then node order) so the error names the
-            # workload the scalar path would have hit first.
-            for spec in placement.instances:
-                key = spec.instance_key
-                for node in placement.spanned_nodes(key):
-                    for other_key, workload in residents.get(node, ()):
-                        if other_key != key:
-                            self._score_of(workload)
-                self._score_of(spec.workload)
-            raise  # pragma: no cover - unknowns always reachable above
-        out: List[Tuple[str, str, List[float]]] = []
-        for spec in placement.instances:
-            key = spec.instance_key
-            out.append(
-                (
-                    key,
-                    spec.workload,
-                    [
-                        excluding[node][key]
-                        for node in placement.spanned_nodes(key)
-                    ],
-                )
-            )
-        return out
+            return [[cache[names] for names in layout] for layout in layouts]
+        except (KeyError, TypeError):  # a new configuration, or lists
+            pass
+        vectors: List[List[float]] = []
+        for layout in layouts:
+            vector: List[float] = []
+            for names in layout:
+                names = tuple(names)
+                value = cache.get(names)
+                if value is None:
+                    value = cache[names] = combine_pressures(
+                        [self._score_of(name) for name in names],
+                        collision_surcharge=0.0,
+                    )
+                vector.append(value)
+            vectors.append(vector)
+        return vectors
 
     # ------------------------------------------------------------------
     # Vectorized prediction
@@ -244,16 +169,12 @@ class PredictionKernel:
         self,
         workloads: Sequence[str],
         vectors: Sequence[Sequence[float]],
-        *,
-        policy_override: Optional[HeterogeneityPolicy] = None,
     ) -> Optional[np.ndarray]:
         """Heterogeneous predictions for parallel workload/vector lists.
 
         Returns ``None`` when the batch contains an anomaly (unknown
         workload, empty vector, NaN or negative pressure) so the caller
         can replay the scalar path and surface the scalar error.
-        ``policy_override`` substitutes one policy for every profile's
-        own — the degraded-workload conservative ALL-max path.
         """
         size = len(workloads)
         out = np.empty(size, dtype=float)
@@ -287,7 +208,7 @@ class PredictionKernel:
             groups.setdefault(workload, []).append(i)
         for workload, indices in groups.items():
             table = self._tables[workload]
-            policy = policy_override or table.policy
+            policy = table.policy
             if len(indices) < SMALL_GROUP:
                 matrix = table.matrix
                 for i in indices:

@@ -546,75 +546,59 @@ class InterferenceModel:
             dtype=float,
         )
 
-    def predict_placements_batch(
-        self, placements: Sequence["Placement"]  # noqa: F821
+    def predict_corunners_batch(
+        self, items: Sequence[Tuple[str, Sequence[Sequence[str]]]]
     ) -> np.ndarray:
-        """Score a whole wave of candidate placements in one batch.
+        """Vectorized :meth:`predict_under_corunners` over many instances.
 
-        All placements must share the same instance list in the same
-        order (an admission wave extends one base placement with the
-        same job; a single placement is a wave of one).  Returns a
-        ``(num_placements, num_instances)`` array whose row ``c`` holds
-        candidate ``c``'s per-instance predictions in instance order,
-        bit-identical to
-        :func:`repro.placement.objectives.predict_placement_scalar`.
+        Each item is ``(workload, co_runners)``: ``co_runners[i]`` lists
+        the co-runner workloads on the instance's ``i``-th spanned node
+        in node order (``co_runners_by_node[node]`` for each of the
+        ``workload_nodes``).  A prediction reads node ids only through
+        that list, so results are bit-identical to calling
+        :meth:`predict_under_corunners` per item, including the
+        combined compute x network product when the model carries the
+        NETWORK domain.  Any anomaly (unknown workload or co-runner, NaN
+        pressure, ...) replays the scalar calls in item order, which
+        raise the scalar error.
         """
-        if not placements:
-            return np.empty((0, 0), dtype=float)
-        keys = tuple(spec.instance_key for spec in placements[0].instances)
-        for placement in placements[1:]:
-            if tuple(
-                spec.instance_key for spec in placement.instances
-            ) != keys:
-                raise ModelError(
-                    "predict_placements_batch requires every placement "
-                    "to share one instance list"
-                )
-        workloads: List[str] = []
-        vectors: List[List[float]] = []
+        _count_batch(len(items))
+        workloads = [workload for workload, _ in items]
         kernel = self.prediction_kernel()
-        for placement in placements:
-            for _, workload, vector in kernel.placement_vectors(placement):
-                workloads.append(workload)
-                vectors.append(vector)
-        _count_batch(len(workloads))
-        values = kernel.predict_vectors(workloads, vectors)
-        net_vectors: List[List[float]] = []
+        try:
+            vectors = kernel.layout_vectors([layout for _, layout in items])
+        except ModelError:  # an unknown co-runner
+            values = None
+        else:
+            values = kernel.predict_vectors(workloads, vectors)
         predictable = self._network_predictable()
-        if predictable:
-            # Same placements, network view: vectors combine co-runner
-            # *network* scores, in the same instance order.
-            net_kernel = self.network_kernel()
-            for placement in placements:
-                for _, _, vector in net_kernel.placement_vectors(placement):
-                    net_vectors.append(vector)
         if values is not None and predictable:
+            # The network view scores every workload the compute kernel
+            # knows, so these layouts cannot meet an unknown co-runner.
+            net_kernel = self.network_kernel()
             indices = [
                 i for i, workload in enumerate(workloads)
                 if workload in predictable
             ]
             factors = net_kernel.predict_vectors(
                 [workloads[i] for i in indices],
-                [net_vectors[i] for i in indices],
+                net_kernel.layout_vectors([items[i][1] for i in indices]),
             )
             if factors is None:
                 values = None
             else:
                 values[indices] = values[indices] * factors
         if values is None:
-            # An anomaly (unknown workload, NaN pressure, ...): replay
-            # the combined scalar path, which raises the scalar error.
-            replay: List[float] = []
-            for i, (workload, vector) in enumerate(zip(workloads, vectors)):
-                value = self._predict_heterogeneous(workload, vector)
-                if workload in predictable:
-                    value = value * self._predict_heterogeneous(
-                        workload, net_vectors[i],
-                        domain=ContentionDomain.NETWORK,
+            return np.array(
+                [
+                    self.predict_under_corunners(
+                        workload, range(len(layout)), dict(enumerate(layout))
                     )
-                replay.append(value)
-            values = np.array(replay, dtype=float)
-        return values.reshape(len(placements), len(keys))
+                    for workload, layout in items
+                ],
+                dtype=float,
+            )
+        return values
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -177,15 +177,14 @@ class OnlineModel:
         ]
         return self._apply_batch(workloads, values)
 
-    def predict_placements_batch(self, placements: Sequence) -> np.ndarray:
-        """Corrected :meth:`InterferenceModel.predict_placements_batch`."""
-        values = self.base.predict_placements_batch(placements)
-        if values.size == 0:
-            return values
-        # Per-instance factors broadcast across the wave's rows.
-        return self._apply_batch(
-            [spec.workload for spec in placements[0].instances], values
-        )
+    def predict_corunners_batch(self, items: Sequence) -> np.ndarray:
+        """Corrected :meth:`InterferenceModel.predict_corunners_batch`.
+
+        The correction scales each item's *combined* prediction, as
+        :meth:`predict_under_corunners` does.
+        """
+        values = self.base.predict_corunners_batch(items)
+        return self._apply_batch([workload for workload, _ in items], values)
 
     # ------------------------------------------------------------------
     # Learning

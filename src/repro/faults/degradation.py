@@ -43,56 +43,6 @@ def conservative_prediction(
     )
 
 
-def conservative_placements_batch(
-    model,
-    placements: Sequence,
-    workload: str,
-    instance_key: str,
-):
-    """:func:`conservative_prediction` for one instance across a wave.
-
-    Returns a float array with one ALL-max prediction per candidate
-    placement, bit-identical to calling :func:`conservative_prediction`
-    per candidate.  ``model`` must offer ``prediction_kernel`` (the
-    interference-aware family); any batch anomaly replays the scalar
-    loop, which raises the scalar error.
-    """
-    import numpy as np
-
-    from repro.core.policies import AllMaxPolicy
-
-    kernel = model.prediction_kernel()
-    # An unknown workload goes straight to the scalar loop, so its error
-    # is raised at the first candidate exactly as the scalar path does.
-    if kernel.knows(workload):
-        vectors = [
-            kernel.pressure_vector(
-                placement.spanned_nodes(instance_key),
-                placement.co_runner_workloads(instance_key),
-            )
-            for placement in placements
-        ]
-        values = kernel.predict_vectors(
-            [workload] * len(placements),
-            vectors,
-            policy_override=AllMaxPolicy(),
-        )
-        if values is not None:
-            return values
-    return np.array(
-        [
-            conservative_prediction(
-                model,
-                workload,
-                placement.spanned_nodes(instance_key),
-                placement.co_runner_workloads(instance_key),
-            )
-            for placement in placements
-        ],
-        dtype=float,
-    )
-
-
 def supports_degradation(model) -> bool:
     """Whether ``model`` exposes what :func:`conservative_prediction` needs."""
     return hasattr(model, "profile") and hasattr(model, "pressure_vector")

@@ -25,18 +25,46 @@ def predict_placement(model, placement: Placement) -> Dict[str, float]:
 
     ``model`` may be the interference-aware model or the naive
     proportional model — both expose ``predict_under_corunners``.
-    Models exposing ``predict_placements_batch`` (the interference-aware
-    family) score the placement as a wave of one in a single vectorized
-    batch; results are bit-identical to :func:`predict_placement_scalar`,
+    Models exposing ``predict_corunners_batch`` (the interference-aware
+    family) score every instance in a single vectorized batch, reading
+    co-runner lists off one pass over the placement's residents;
+    results are bit-identical to :func:`predict_placement_scalar`,
     which remains the reference oracle.
     """
-    batch = getattr(model, "predict_placements_batch", None)
+    batch = getattr(model, "predict_corunners_batch", None)
     if batch is None:
         return predict_placement_scalar(model, placement)
-    (row,) = batch([placement])
+    # Per node, each resident's co-runner workloads in assignment
+    # order (what ``co_runner_workloads`` reports), built in one pass:
+    # an instance has one unit per node, so its co-runners there are
+    # the other positions of the node's resident list.  Nodes of the
+    # paper's testbed hold one or two units, the cases spelled out.
+    views = {}
+    for node, units in placement.node_residents().items():
+        if len(units) == 1:
+            views[node] = {units[0][0]: ()}
+        elif len(units) == 2:
+            (key_a, work_a), (key_b, work_b) = units
+            views[node] = {key_a: (work_b,), key_b: (work_a,)}
+        else:
+            names = tuple([work for _, work in units])
+            views[node] = {
+                key: names[:i] + names[i + 1:]
+                for i, (key, _) in enumerate(units)
+            }
+    items = [
+        (
+            spec.workload,
+            [
+                views[node][spec.instance_key]
+                for node in placement.spanned_nodes(spec.instance_key)
+            ],
+        )
+        for spec in placement.instances
+    ]
     return {
         spec.instance_key: float(value)
-        for spec, value in zip(placement.instances, row)
+        for spec, value in zip(placement.instances, batch(items))
     }
 
 

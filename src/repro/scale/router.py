@@ -4,8 +4,10 @@ Arriving jobs are routed to the cell predicted to absorb them with the
 most *QoS headroom*: the router probes a few candidate node
 combinations per cell (enumerated in the same deterministic sorted
 order the admission controller uses), scores them through the cell's
-own online model — in one vectorized
-``predict_placements_batch`` call — and
+own online model with admission's delta scorer
+(:class:`~repro.service.admission.CandidateWave`: one batch
+re-predicting only the job and the tenants on its candidate nodes,
+no placement built per candidate) — and
 summarizes each cell as the best candidate's worst margin over every
 mission-critical bound involved.  Emptier, calmer cells score higher;
 the global tier (:mod:`repro.scale.coordinator`) only intervenes later
@@ -20,13 +22,12 @@ admission controller still makes the binding yes/no decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import PlacementError, ServiceError
+from repro.errors import ServiceError
 from repro.obs import recorder as _obs
 from repro.placement.objectives import QoSConstraint
-from repro.service.admission import placement_with_job
+from repro.service.admission import CandidateWave
 from repro.service.jobs import Job
 
 #: Reference bound used to score best-effort jobs (the paper's
@@ -54,21 +55,17 @@ class CellScore:
 
 
 def free_slot_count(cell) -> int:
-    """Unoccupied unit slots in a cell (capacity minus resident units).
+    """Unoccupied unit slots on a cell's schedulable nodes.
 
-    Capacity is the cell's *schedulable* node count, so a cell on an
-    elastic provider advertises the headroom it can actually grant —
-    draining and reclaimed nodes drop out of its routing weight the
-    epoch they stop accepting work.  Fixed-pool cells count their full
-    spec, exactly as before.
+    The same inventory admission draws on
+    (:meth:`~repro.service.admission.AdmissionController.free_slots`),
+    so a cell on an elastic provider advertises the headroom it can
+    actually grant: a draining or reclaimed node drops out of its
+    routing weight, together with the units still on it, the epoch it
+    stops accepting work.  Fixed-pool cells count every node.
     """
     service = cell.service
-    slots = (
-        service.schedulable_node_count()
-        * service.admission.unit_slots_per_node
-    )
-    occupied = sum(job.num_units for job in service.tenants)
-    return slots - occupied
+    return sum(service.admission.free_slots(service.placement).values())
 
 
 class HeadroomRouter:
@@ -97,43 +94,37 @@ class HeadroomRouter:
         service = cell.service
         placement = service.placement
         admission = service.admission
-        free = admission.free_nodes(placement)
-        if len(free) < job.num_units:
+        inventory = admission.free_slots(placement)
+        if len(inventory) < job.num_units:
             return None
-        candidates = []
-        for nodes in islice(
-            combinations(free, job.num_units), self.probe_candidates
-        ):
-            try:
-                candidates.append(
-                    placement_with_job(
-                        placement,
-                        admission.cluster_spec,
-                        job,
-                        nodes,
-                        unit_slots_per_node=admission.unit_slots_per_node,
-                    )
-                )
-            except PlacementError:
-                continue
-        if not candidates:
+        wave = CandidateWave(
+            placement,
+            job,
+            admission.cluster_spec,
+            unit_slots_per_node=admission.unit_slots_per_node,
+        )
+        node_sets = wave.candidates(list(inventory), self.probe_candidates)
+        if not node_sets:
             return None
-        constraints = self._constraints(service.tenants, job)
-        tables = self._predict(service.model, candidates)
+        columns = {
+            spec.instance_key: column
+            for column, spec in enumerate(wave.instances)
+        }
+        bounds = [
+            (columns[constraint.instance_key], constraint.max_normalized_time)
+            for constraint in self._constraints(service.tenants, job)
+        ]
         best: Optional[CellScore] = None
-        slots = free_slot_count(cell)
-        for predictions in tables:
-            margin = min(
-                constraint.max_normalized_time
-                - predictions[constraint.instance_key]
-                for constraint in constraints
-            )
+        # free_slot_count(cell), from the inventory already in hand.
+        slots = sum(inventory.values())
+        for row in wave.predict(service.model, node_sets).tolist():
+            margin = min(bound - row[column] for column, bound in bounds)
             # Strict > keeps the first (sorted-order) candidate on ties.
             if best is None or margin > best.headroom:
                 best = CellScore(
                     cell_id=cell.cell_id,
                     headroom=margin,
-                    predicted_time=predictions[job.job_id],
+                    predicted_time=row[-1],
                     free_slots=slots,
                 )
         return best
@@ -248,13 +239,3 @@ class HeadroomRouter:
             )
         )
         return [c for c in constraints if c is not None]
-
-    @staticmethod
-    def _predict(model, candidates: Sequence) -> List[Dict[str, float]]:
-        """Per-candidate prediction tables from one wave batch."""
-        matrix = model.predict_placements_batch(candidates)
-        keys = [spec.instance_key for spec in candidates[0].instances]
-        return [
-            {key: float(value) for key, value in zip(keys, row)}
-            for row in matrix
-        ]

@@ -193,6 +193,31 @@ class TestBatchScalarIdentity:
                 domain=ContentionDomain.NETWORK,
             )
 
+    @pytest.mark.parametrize("online", [False, True])
+    def test_corunners_batch_matches_combined_scalar(self, online):
+        static = self.make_model()
+        model = OnlineModel(static) if online else static
+        if online:
+            model.observe("app", predicted=1.3, measured=1.6)
+        calls = [
+            ("app", [0, 1], {0: ["src"], 1: ["plain"]}),
+            ("plain", [0, 1], {0: ["src"], 1: []}),
+            ("src", [2, 3], {2: ["app", "app"], 3: ["plain"]}),
+            ("app", [0, 1, 2, 3], {}),
+        ]
+        # One item per call: the co-runners per spanned node, in order.
+        items = [
+            (w, [c.get(node, ()) for node in n]) for w, n, c in calls
+        ]
+        batch = model.predict_corunners_batch(items)
+        for value, (w, n, c) in zip(batch, calls):
+            assert value == model.predict_under_corunners(w, n, c)
+        with pytest.raises(ModelError) as scalar:
+            model.predict_under_corunners("app", [0], {0: ["ghost"]})
+        with pytest.raises(ModelError) as delta:
+            model.predict_corunners_batch(items + [("app", [["ghost"]])])
+        assert str(delta.value) == str(scalar.value)
+
     def test_placement_batches_match_combined_scalar(self):
         static = self.make_model()
         online = OnlineModel(static)
@@ -221,10 +246,26 @@ class TestBatchScalarIdentity:
                         placement.spanned_nodes(key),
                         placement.co_runner_workloads(key),
                     )
-            # The wave surface returns a (num_placements, num_instances)
-            # row per candidate, in instance order.
-            many = model.predict_placements_batch(placements)
-            for row, placement in zip(many, placements):
+            # One batch over every placement's instances (as an
+            # admission wave sends them) gives the same values.
+            items = []
+            for placement in placements:
+                for instance in instances:
+                    key = instance.instance_key
+                    co_runners = placement.co_runner_workloads(key)
+                    items.append(
+                        (
+                            instance.workload,
+                            [
+                                co_runners[node]
+                                for node in placement.spanned_nodes(key)
+                            ],
+                        )
+                    )
+            many = model.predict_corunners_batch(items)
+            for row, placement in zip(
+                many.reshape(len(placements), len(instances)), placements
+            ):
                 per_key = predict_placement(model, placement)
                 for value, instance in zip(row, instances):
                     assert value == per_key[instance.instance_key]

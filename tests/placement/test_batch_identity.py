@@ -1,8 +1,8 @@
 """Placement-level bit-identity of the batch prediction path.
 
-``predict_placement`` scores a placement as a wave of one through the
-vectorized
-:meth:`~repro.core.model.InterferenceModel.predict_placements_batch`
+``predict_placement`` scores a placement's instances in one batch
+through the vectorized
+:meth:`~repro.core.model.InterferenceModel.predict_corunners_batch`
 whenever the model offers it; these tests pin that route to the scalar
 reference (:func:`predict_placement_scalar`) bit for bit — values,
 errors and the empty placement — including through a whole annealing
@@ -40,7 +40,7 @@ class ScalarOnly:
     _HIDDEN = frozenset(
         {
             "predict_batch",
-            "predict_placements_batch",
+            "predict_corunners_batch",
             "prediction_kernel",
         }
     )

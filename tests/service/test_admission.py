@@ -198,7 +198,7 @@ class _ScalarOnlyModel:
     _HIDDEN = frozenset(
         {
             "predict_batch",
-            "predict_placements_batch",
+            "predict_corunners_batch",
             "prediction_kernel",
         }
     )
@@ -339,7 +339,7 @@ class TestCapacityAwareness:
         provider = _elastic(spot_reclaimed=True)
         controller = AdmissionController(FakeModel(), SPEC_4,
                                          capacity=provider)
-        assert controller.free_nodes(None) == [0, 1]
+        assert list(controller.free_slots(None)) == [0, 1]
 
     def test_mission_critical_only_on_durable_nodes(self):
         controller = AdmissionController(FakeModel(), SPEC_4,
